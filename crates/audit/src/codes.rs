@@ -16,8 +16,6 @@
 //!   structures or unordered parallel reductions in the solver crates;
 //! * `A008`–`A010` — **panic safety**: no `unwrap`/`expect`/`panic!`
 //!   in hot-path library code without a justified allow;
-//! * `A011` — **API hygiene**: no internal callers of the deprecated
-//!   free-function search API;
 //! * `A012`–`A013` — the allowlist itself is machine-checked: pragmas
 //!   must be well-formed and must actually suppress something;
 //! * `A014` — **registry consistency, continued**: the decision-journal
@@ -79,13 +77,6 @@ pub const A_UNWRAP: &str = "A008";
 pub const A_PANIC: &str = "A009";
 /// Direct slice indexing in the CLI crate (user-input boundary).
 pub const A_DIRECT_INDEX: &str = "A010";
-
-// ------------------------------------------------- API hygiene
-
-/// An internal (non-test) caller of the deprecated free-function
-/// search API (`assess` / `greedy_search` / `exhaustive_search` /
-/// `branch_and_bound_search` / `annealing_search`).
-pub const A_DEPRECATED_SEARCH_API: &str = "A011";
 
 // -------------------------------------------------- allowlist
 
@@ -204,12 +195,6 @@ pub fn all() -> Vec<CodeInfo> {
             Warning,
             "prefer checked access over direct indexing at the CLI input boundary",
             "DESIGN.md \u{a7}10",
-        ),
-        info(
-            A_DEPRECATED_SEARCH_API,
-            Error,
-            "internal code must use AssessmentEngine, not the deprecated free functions",
-            "DESIGN.md \u{a7}8",
         ),
         info(
             A_MALFORMED_ALLOW,

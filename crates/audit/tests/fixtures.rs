@@ -198,20 +198,6 @@ fn direct_index_in_cli_fires_a010_warning() {
 }
 
 #[test]
-fn deprecated_search_call_fires_a011() {
-    let fx = Fixture::new("a011");
-    fx.file(
-        "crates/core/src/tool.rs",
-        "pub fn f() {\n    let _ = wfms_config::greedy_search(&registry, &load, &goals, &opts);\n}\n",
-    );
-    let report = fx.audit();
-    assert_eq!(codes(&report), ["A011"], "report: {}", report.summary());
-    assert!(report
-        .with_code("A011")
-        .any(|d| d.message.contains("greedy_search")));
-}
-
-#[test]
 fn malformed_pragma_fires_a012() {
     let fx = Fixture::new("a012");
     fx.file(

@@ -5,15 +5,11 @@
 //! `X_x ∈ {0, …, Y_x}`: failures move down at `X_x · λ_x`, repairs move
 //! up at a rate depending only on the number failed. A
 //! [`BirthDeathBlock`] tabulates those two rate ladders for one server
-//! type once, so assembling the generator for a neighbouring candidate
-//! `Y + e_k` reuses the blocks of every unchanged type verbatim — the
-//! incremental-construction lever behind the configuration-search
-//! engine's availability cache.
-//!
-//! The tabulated rates are the *same float products* the direct
-//! generator assembly computes (`x as f64 * λ`, `failed as f64 * μ`),
-//! so a model built from blocks is bit-identical to one built from
-//! scratch.
+//! type, and its closed-form stationary marginal is that type's factor
+//! of the product-form distribution. The configuration-search engine
+//! caches blocks by `(type, Y_x)`, so a neighbouring candidate `Y + e_k`
+//! reuses the blocks of every unchanged type verbatim; the flat-chain
+//! models assemble their generators from the same ladders.
 
 use wfms_statechart::ServerType;
 

@@ -7,8 +7,6 @@
 //! every system state, and summing over the states where some server type
 //! is completely down yields the WFMS unavailability.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use wfms_markov::ctmc::{Ctmc, SteadyStateMethod};
@@ -70,7 +68,8 @@ impl AvailabilityModel {
         config: &Configuration,
         policy: RepairPolicy,
     ) -> Result<Self, AvailError> {
-        let n = StateSpace::new(config).len();
+        let space = StateSpace::new(config);
+        let n = space.len();
         if n > DEFAULT_STATE_CAP {
             return Err(AvailError::StateSpaceTooLarge {
                 states: n,
@@ -80,56 +79,9 @@ impl AvailabilityModel {
         let mut blocks = Vec::with_capacity(config.k());
         for (j, &y) in config.as_slice().iter().enumerate() {
             let st = registry.get(wfms_statechart::ServerTypeId(j))?;
-            blocks.push(Arc::new(BirthDeathBlock::for_type(st, y, policy)));
-        }
-        Self::from_blocks(config, &blocks, policy)
-    }
-
-    /// Builds the availability CTMC from pre-tabulated per-type
-    /// birth–death blocks, the incremental path used by the
-    /// configuration-search engine: for a neighbouring candidate
-    /// `Y + e_k`, only the block of type `k` is new.
-    ///
-    /// Block rates are the same float products the direct assembly
-    /// computes, so the resulting generator — and everything solved from
-    /// it — is bit-identical to [`AvailabilityModel::with_policy`].
-    ///
-    /// # Errors
-    /// * [`AvailError::StateSpaceTooLarge`] beyond [`DEFAULT_STATE_CAP`].
-    /// * [`AvailError::BlockMismatch`] / [`AvailError::Arch`] when the
-    ///   blocks do not match `config` (count, replicas, or policy).
-    pub fn from_blocks(
-        config: &Configuration,
-        blocks: &[Arc<BirthDeathBlock>],
-        policy: RepairPolicy,
-    ) -> Result<Self, AvailError> {
-        let space = StateSpace::new(config);
-        let n = space.len();
-        if n > DEFAULT_STATE_CAP {
-            return Err(AvailError::StateSpaceTooLarge {
-                states: n,
-                cap: DEFAULT_STATE_CAP,
-            });
+            blocks.push(BirthDeathBlock::for_type(st, y, policy));
         }
         let k = space.k();
-        if blocks.len() != k {
-            return Err(AvailError::Arch(
-                wfms_statechart::ArchError::LengthMismatch {
-                    what: "birth-death blocks",
-                    expected: k,
-                    actual: blocks.len(),
-                },
-            ));
-        }
-        for (j, block) in blocks.iter().enumerate() {
-            if block.replicas() != config.as_slice()[j] || block.policy() != policy {
-                return Err(AvailError::BlockMismatch {
-                    type_index: j,
-                    block_replicas: block.replicas(),
-                    config_replicas: config.as_slice()[j],
-                });
-            }
-        }
         let _obs_span = wfms_obs::span!("avail-build", states = n, types = k, backend = "dense");
         wfms_obs::gauge("avail.state-space.size", n as f64);
         let mut q = Matrix::zeros(n, n);

@@ -30,24 +30,27 @@
 //! identify a state with its *rank vector* `r` (`π = Π_x v_x[r_x]`).
 //! Raising any single rank multiplies the score by a factor ≤ 1, so
 //! scores are monotone non-increasing along the child relation
-//! `r → r + e_x`. The enumerator keeps a max-heap seeded with `r = 0`
-//! and, on popping `r`, pushes its `k` children. By induction every
-//! not-yet-emitted state has an ancestor (under the child relation) in
-//! the heap, and that ancestor's score is an upper bound on the
-//! state's — hence the heap maximum is the global maximum of all
-//! remaining states, and states are emitted in descending `π` order.
+//! `r → r + e_x`. Give every state `r ≠ 0` one *canonical parent*
+//! `r − e_j`, where `j` is the last coordinate with `r_j > 0`; the
+//! canonical children of `r` are then exactly the `r + e_x` with `x`
+//! at or after `r`'s last nonzero coordinate, and every state is reached
+//! from the root `r = 0` along exactly one chain of canonical parents.
+//! The enumerator keeps a max-heap seeded with the root and, on popping
+//! `r`, pushes its canonical children — so no state is pushed twice and
+//! no visited set is needed. By induction every not-yet-emitted state
+//! has a canonical ancestor in the heap, and that ancestor's score is
+//! an upper bound on the state's — hence the heap maximum is the global
+//! maximum of all remaining states, and states are emitted in
+//! descending `π` order.
 //!
 //! The single-repairman policy does **not** factorize per replica;
-//! [`select_backend`] routes such chains to the sparse Gauss–Seidel
-//! model instead.
+//! [`ProductFormModel::from_blocks`] rejects such blocks, and
+//! [`select_backend`] routes them to the sparse Gauss–Seidel model of
+//! the flat chain instead.
 
-// audit:allow-file(A006, reason = "the best-first frontier's `seen` set is membership-only dedup; enumeration order comes from the BinaryHeap score ordering, so hash order never reaches results")
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-use std::str::FromStr;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use wfms_statechart::{Configuration, ServerTypeId, ServerTypeRegistry};
 
@@ -57,49 +60,24 @@ use crate::model::{RepairPolicy, DEFAULT_STATE_CAP};
 use crate::sparse_model::SPARSE_STATE_CAP;
 use crate::state_space::StateSpace;
 
-/// Which steady-state solver evaluates the availability chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+/// Which steady-state solver evaluates the availability chain. The
+/// assessment engine always uses the product form; the flat-chain
+/// backends ([`crate::AvailabilityModel`], [`crate::SparseAvailabilityModel`])
+/// remain as the reference oracle for tests and benchmarks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AvailBackend {
     /// Pick automatically: the product form when the policy factorizes
     /// and the caller tolerates truncation (`ε > 0`), else dense LU up
     /// to [`DEFAULT_STATE_CAP`] states, else sparse Gauss–Seidel.
     #[default]
     Auto,
-    /// Dense generator + LU solve (bit-for-bit the historical path).
+    /// Dense generator + LU solve.
     Dense,
     /// Transposed-CSR generator + sparse Gauss–Seidel sweeps.
     Sparse,
     /// Closed-form per-type marginals; exact availability and lazy
     /// descending-`π` state enumeration. Independent repair only.
     Product,
-}
-
-impl std::fmt::Display for AvailBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            AvailBackend::Auto => "auto",
-            AvailBackend::Dense => "dense",
-            AvailBackend::Sparse => "sparse",
-            AvailBackend::Product => "product",
-        };
-        write!(f, "{name}")
-    }
-}
-
-impl FromStr for AvailBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(AvailBackend::Auto),
-            "dense" => Ok(AvailBackend::Dense),
-            "sparse" => Ok(AvailBackend::Sparse),
-            "product" => Ok(AvailBackend::Product),
-            other => Err(format!(
-                "unknown availability backend '{other}' (expected auto, dense, sparse, or product)"
-            )),
-        }
-    }
 }
 
 /// Resolves a requested backend to a concrete one for a chain with
@@ -176,8 +154,8 @@ impl ProductFormModel {
     }
 
     /// Builds the model from pre-tabulated blocks (the assessment
-    /// engine's incremental path; only new `(type, Y_x)` pairs cost a
-    /// tabulation).
+    /// engine's path: its block cache means only new `(type, Y_x)` pairs
+    /// cost a tabulation).
     ///
     /// # Errors
     /// * [`AvailError::UnsupportedPolicy`] when any block encodes a
@@ -214,53 +192,6 @@ impl ProductFormModel {
         }
         let _obs_span = wfms_obs::span!("avail-product-form", states = space.len(), types = k);
         let marginals = blocks.iter().map(|b| b.marginal_distribution()).collect();
-        Ok(ProductFormModel {
-            config: config.clone(),
-            space,
-            marginals,
-        })
-    }
-
-    /// Builds the model directly from per-type marginals — the
-    /// assessment engine's one-coordinate *delta* path: for a move
-    /// `Y → Y ± e_x` it clones the incumbent's marginals, replaces only
-    /// type `x`'s with the freshly tabulated one, and skips the `k − 1`
-    /// untouched recurrences entirely. Because
-    /// [`BirthDeathBlock::marginal_distribution`] is a deterministic
-    /// function of `(type, replicas, policy)`, the result is
-    /// bit-identical to [`ProductFormModel::from_blocks`] over fresh
-    /// blocks for the same configuration.
-    ///
-    /// # Errors
-    /// [`AvailError::Arch`] when the marginal count or any marginal's
-    /// length (`Y_x + 1` entries for type `x`) does not match `config`.
-    pub fn from_marginals(
-        config: &Configuration,
-        marginals: Vec<Vec<f64>>,
-    ) -> Result<Self, AvailError> {
-        let space = StateSpace::new(config);
-        let k = space.k();
-        if marginals.len() != k {
-            return Err(AvailError::Arch(
-                wfms_statechart::ArchError::LengthMismatch {
-                    what: "per-type marginals",
-                    expected: k,
-                    actual: marginals.len(),
-                },
-            ));
-        }
-        for (j, m) in marginals.iter().enumerate() {
-            let expected = config.as_slice()[j] + 1;
-            if m.len() != expected {
-                return Err(AvailError::Arch(
-                    wfms_statechart::ArchError::LengthMismatch {
-                        what: "marginal up-count entries",
-                        expected,
-                        actual: m.len(),
-                    },
-                ));
-            }
-        }
         Ok(ProductFormModel {
             config: config.clone(),
             space,
@@ -316,9 +247,9 @@ impl ProductFormModel {
         p
     }
 
-    /// Materializes the full stationary vector in encoding order — a
-    /// cross-check helper; the point of the product form is to *avoid*
-    /// this `O(Π (Y_x + 1))` walk.
+    /// Materializes the full stationary vector in encoding order, for
+    /// folds that visit every state anyway (the engine's `ε = 0` path);
+    /// `O(k)` multiplications per state, no solve.
     ///
     /// # Errors
     /// [`AvailError::StateSpaceTooLarge`] beyond [`SPARSE_STATE_CAP`].
@@ -354,12 +285,11 @@ impl ProductFormModel {
 /// exceeds `1` exactly when the move raises availability, and
 /// `A · (gain − 1)` is the availability gained.
 ///
-/// Note the engine's *delta assessment* deliberately does **not** patch
-/// a cached availability with this factor — a float divide is not
-/// bitwise-invertible — it re-folds the product over the replaced
-/// marginals instead ([`ProductFormModel::from_marginals`]); the gain
-/// factor is for *ranking*, where closed-form speed matters and
-/// bit-identity does not.
+/// The assessment engine deliberately does **not** patch a cached
+/// availability with this factor — a float divide is not
+/// bitwise-invertible — it re-folds the product over the candidate's
+/// marginals instead; the gain factor is for *ranking*, where
+/// closed-form speed matters and bit-identity does not.
 pub fn availability_gain(all_down_before: f64, all_down_after: f64) -> f64 {
     (1.0 - all_down_after) / (1.0 - all_down_before)
 }
@@ -406,7 +336,6 @@ pub struct BestFirstStates {
     /// `values[x][r]` = marginal probability at rank `r` of type `x`.
     values: Vec<Vec<f64>>,
     heap: BinaryHeap<Frontier>,
-    seen: HashSet<Vec<u32>>,
 }
 
 impl BestFirstStates {
@@ -423,8 +352,6 @@ impl BestFirstStates {
         }
         let root = vec![0u32; marginals.len()];
         let mut heap = BinaryHeap::new();
-        let mut seen = HashSet::new();
-        seen.insert(root.clone());
         heap.push(Frontier {
             score: Self::score_of(&values, &root),
             ranks: root,
@@ -433,7 +360,6 @@ impl BestFirstStates {
             orders,
             values,
             heap,
-            seen,
         }
     }
 
@@ -453,17 +379,17 @@ impl Iterator for BestFirstStates {
 
     fn next(&mut self) -> Option<Self::Item> {
         let top = self.heap.pop()?;
-        for x in 0..top.ranks.len() {
-            let next_rank = top.ranks[x] as usize + 1;
-            if next_rank < self.orders[x].len() {
+        // Canonical children only: `r + e_x` for `x` at or after the
+        // last nonzero rank, so each state has exactly one parent.
+        let first = top.ranks.iter().rposition(|&r| r > 0).unwrap_or(0);
+        for x in first..top.ranks.len() {
+            if (top.ranks[x] as usize) + 1 < self.orders[x].len() {
                 let mut child = top.ranks.clone();
                 child[x] += 1;
-                if self.seen.insert(child.clone()) {
-                    self.heap.push(Frontier {
-                        score: Self::score_of(&self.values, &child),
-                        ranks: child,
-                    });
-                }
+                self.heap.push(Frontier {
+                    score: Self::score_of(&self.values, &child),
+                    ranks: child,
+                });
             }
         }
         let state = top
@@ -521,19 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_parses_and_displays_round_trip() {
-        for b in [
-            AvailBackend::Auto,
-            AvailBackend::Dense,
-            AvailBackend::Sparse,
-            AvailBackend::Product,
-        ] {
-            assert_eq!(b.to_string().parse::<AvailBackend>().unwrap(), b);
-        }
-        assert!("gauss".parse::<AvailBackend>().is_err());
-    }
-
-    #[test]
     fn product_availability_matches_closed_form_exactly_in_structure() {
         let reg = paper_section52_registry();
         for y in [vec![1, 1, 1], vec![2, 2, 3], vec![3, 3, 3]] {
@@ -546,48 +459,6 @@ mod tests {
                 model.unavailability()
             );
         }
-    }
-
-    #[test]
-    fn from_marginals_replacement_is_bit_identical_to_from_blocks() {
-        // The engine's delta path: take a neighbour's marginals, replace
-        // only the moved type's, and get the exact model `from_blocks`
-        // would build for the new configuration — bit for bit.
-        let reg = paper_section52_registry();
-        let incumbent = Configuration::new(&reg, vec![2, 2, 3]).unwrap();
-        let neighbour = Configuration::new(&reg, vec![2, 3, 3]).unwrap();
-        let base = ProductFormModel::new(&reg, &incumbent).unwrap();
-        let mut marginals = base.marginals().to_vec();
-        let moved = BirthDeathBlock::for_type(
-            reg.get(ServerTypeId(1)).unwrap(),
-            3,
-            RepairPolicy::Independent,
-        );
-        marginals[1] = moved.marginal_distribution();
-        let patched = ProductFormModel::from_marginals(&neighbour, marginals).unwrap();
-        let fresh = ProductFormModel::new(&reg, &neighbour).unwrap();
-        assert_eq!(patched.marginals(), fresh.marginals());
-        assert_eq!(
-            patched.availability().to_bits(),
-            fresh.availability().to_bits()
-        );
-        let lazy_patched: Vec<(Vec<usize>, f64)> = patched.enumerate_descending().collect();
-        let lazy_fresh: Vec<(Vec<usize>, f64)> = fresh.enumerate_descending().collect();
-        assert_eq!(lazy_patched, lazy_fresh);
-    }
-
-    #[test]
-    fn from_marginals_rejects_mismatched_shapes() {
-        let reg = paper_section52_registry();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let model = ProductFormModel::new(&reg, &config).unwrap();
-        // Wrong marginal count.
-        let short = model.marginals()[..2].to_vec();
-        assert!(ProductFormModel::from_marginals(&config, short).is_err());
-        // Wrong entry count for one type (Y_x + 1 expected).
-        let mut bad = model.marginals().to_vec();
-        bad[0].pop();
-        assert!(ProductFormModel::from_marginals(&config, bad).is_err());
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! [`wfms_markov::linalg::sparse`] — the same algorithm the paper names,
 //! now in its scalable form.
 
-use std::sync::Arc;
-
 use wfms_markov::linalg::sparse::{sparse_steady_state_gauss_seidel, CsrMatrix};
 use wfms_markov::linalg::GaussSeidelOptions;
 use wfms_statechart::{Configuration, ServerTypeId, ServerTypeRegistry};
@@ -35,11 +33,8 @@ pub struct SparseAvailabilityModel {
 }
 
 impl SparseAvailabilityModel {
-    /// Builds the sparse availability CTMC, tabulating fresh per-type
-    /// [`BirthDeathBlock`] rate ladders and delegating to
-    /// [`SparseAvailabilityModel::from_blocks`]. The ladders hold the
-    /// same float products the generator used to compute inline, so the
-    /// model — and everything solved from it — is unchanged.
+    /// Builds the sparse availability CTMC from per-type
+    /// [`BirthDeathBlock`] rate ladders.
     ///
     /// # Errors
     /// [`AvailError::StateSpaceTooLarge`] beyond [`SPARSE_STATE_CAP`];
@@ -47,29 +42,6 @@ impl SparseAvailabilityModel {
     pub fn new(
         registry: &ServerTypeRegistry,
         config: &Configuration,
-        policy: RepairPolicy,
-    ) -> Result<Self, AvailError> {
-        let mut blocks = Vec::with_capacity(config.k());
-        for (j, &y) in config.as_slice().iter().enumerate() {
-            let st = registry.get(ServerTypeId(j))?;
-            blocks.push(Arc::new(BirthDeathBlock::for_type(st, y, policy)));
-        }
-        Self::from_blocks(config, &blocks, policy)
-    }
-
-    /// Builds the sparse availability CTMC from pre-tabulated per-type
-    /// birth–death blocks — the shared assembly path with the dense
-    /// [`crate::model::AvailabilityModel::from_blocks`], used by the
-    /// configuration-search engine so a neighbouring candidate `Y + e_k`
-    /// pays only one new block.
-    ///
-    /// # Errors
-    /// * [`AvailError::StateSpaceTooLarge`] beyond [`SPARSE_STATE_CAP`].
-    /// * [`AvailError::BlockMismatch`] / [`AvailError::Arch`] when the
-    ///   blocks do not match `config` (count, replicas, or policy).
-    pub fn from_blocks(
-        config: &Configuration,
-        blocks: &[Arc<BirthDeathBlock>],
         policy: RepairPolicy,
     ) -> Result<Self, AvailError> {
         let space = StateSpace::new(config);
@@ -80,25 +52,12 @@ impl SparseAvailabilityModel {
                 cap: SPARSE_STATE_CAP,
             });
         }
+        let mut blocks = Vec::with_capacity(config.k());
+        for (j, &y) in config.as_slice().iter().enumerate() {
+            let st = registry.get(ServerTypeId(j))?;
+            blocks.push(BirthDeathBlock::for_type(st, y, policy));
+        }
         let k = space.k();
-        if blocks.len() != k {
-            return Err(AvailError::Arch(
-                wfms_statechart::ArchError::LengthMismatch {
-                    what: "birth-death blocks",
-                    expected: k,
-                    actual: blocks.len(),
-                },
-            ));
-        }
-        for (j, block) in blocks.iter().enumerate() {
-            if block.replicas() != config.as_slice()[j] || block.policy() != policy {
-                return Err(AvailError::BlockMismatch {
-                    type_index: j,
-                    block_replicas: block.replicas(),
-                    config_replicas: config.as_slice()[j],
-                });
-            }
-        }
         let _obs_span = wfms_obs::span!("avail-build", states = n, types = k, backend = "sparse");
         let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(n * 2 * k);
         let mut departure = vec![0.0; n];
@@ -312,58 +271,6 @@ mod tests {
         assert!(matches!(
             SparseAvailabilityModel::new(&reg, &config, RepairPolicy::Independent),
             Err(AvailError::StateSpaceTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn from_blocks_matches_direct_assembly_bitwise() {
-        let reg = paper_section52_registry();
-        let config = Configuration::new(&reg, vec![2, 1, 3]).unwrap();
-        for policy in [
-            RepairPolicy::Independent,
-            RepairPolicy::SingleRepairmanPerType,
-        ] {
-            let direct = SparseAvailabilityModel::new(&reg, &config, policy).unwrap();
-            let blocks: Vec<Arc<BirthDeathBlock>> = reg
-                .iter()
-                .map(|(id, st)| {
-                    Arc::new(BirthDeathBlock::for_type(
-                        st,
-                        config.as_slice()[id.0],
-                        policy,
-                    ))
-                })
-                .collect();
-            let shared = SparseAvailabilityModel::from_blocks(&config, &blocks, policy).unwrap();
-            assert_eq!(
-                direct.steady_state(gs()).unwrap(),
-                shared.steady_state(gs()).unwrap(),
-                "{policy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn from_blocks_rejects_policy_mismatch() {
-        let reg = paper_section52_registry();
-        let config = Configuration::uniform(&reg, 2).unwrap();
-        let blocks: Vec<Arc<BirthDeathBlock>> = reg
-            .iter()
-            .map(|(id, st)| {
-                Arc::new(BirthDeathBlock::for_type(
-                    st,
-                    config.as_slice()[id.0],
-                    RepairPolicy::Independent,
-                ))
-            })
-            .collect();
-        assert!(matches!(
-            SparseAvailabilityModel::from_blocks(
-                &config,
-                &blocks,
-                RepairPolicy::SingleRepairmanPerType
-            ),
-            Err(AvailError::BlockMismatch { .. })
         ));
     }
 

@@ -3,12 +3,10 @@
 //! Runs the provably-minimum-cost exhaustive search over the
 //! five-type `examples/specs/enterprise` scenario three ways:
 //!
-//! 1. **serial / cold** — a fresh [`AssessmentEngine`] with `jobs = 1`,
-//!    equivalent to the deprecated free-function path;
+//! 1. **serial / cold** — a fresh [`AssessmentEngine`] with `jobs = 1`;
 //! 2. **parallel / cold** — a fresh engine with `jobs = 4`;
 //! 3. **parallel / warm** — the same engine again, replaying every
-//!    candidate from the degraded-state, birth–death-block, and
-//!    availability-solution caches.
+//!    candidate from the degraded-state and birth–death-block caches.
 //!
 //! Asserts the winning [`Assessment`] (and the full trace) is
 //! bit-identical across all three runs — the engine's determinism
@@ -152,8 +150,8 @@ fn main() {
         "  {JOBS}-way warm     : {parallel_warm_ms:>9.2} ms  ({warm_speedup:.1}x vs serial cold)"
     );
     println!(
-        "  caches: {} states, {} solutions, {} blocks; {} hits / {} misses",
-        stats.state_entries, stats.solution_entries, stats.block_entries, stats.hits, stats.misses
+        "  caches: {} states, {} blocks; {} hits / {} misses",
+        stats.state_entries, stats.block_entries, stats.hits, stats.misses
     );
     assert!(
         warm_speedup >= 2.0,

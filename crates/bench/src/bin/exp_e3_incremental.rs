@@ -1,21 +1,16 @@
-//! EXP-E3 (extension) — incremental delta assessment and adaptive-ε
-//! screening against the from-scratch greedy search.
+//! EXP-E3 (extension) — adaptive-ε screening against the unscreened
+//! greedy search.
 //!
-//! Runs the five-type `examples/specs/enterprise` greedy search three
+//! Runs the five-type `examples/specs/enterprise` greedy search two
 //! ways at identical goals:
 //!
-//! * **C — baseline**: the PR 8 semantics (`incremental = false`,
-//!   no screen); every candidate pays a full product-form solve and an
-//!   exact ε-truncated fold.
-//! * **B — incremental**: `incremental = true`, no screen. One-replica
-//!   moves patch the moved type's birth–death marginal into the
-//!   incumbent's cached solution. Asserted **bit-identical** to C —
-//!   winner, full trace, and the decision journal, at `jobs ∈ {1, 8}`.
-//! * **A — screened**: incremental + `--rank-moves` +
-//!   `--screen-epsilon`. Steps whose infeasibility the loose bounds
-//!   *prove* skip the exact assessment entirely. Asserted to land on
-//!   the same winner with a bitwise-equal winning assessment, and to be
-//!   ≥ 3× faster than C wall-clock.
+//! * **C — baseline**: no screen; every candidate pays an exact
+//!   ε-truncated assessment (through the engine's block and state
+//!   caches).
+//! * **A — screened**: `--rank-moves` + `--screen-epsilon`. Steps whose
+//!   infeasibility the loose bounds *prove* skip the exact assessment
+//!   entirely. Asserted to land on the same winner with a bitwise-equal
+//!   winning assessment, and to be ≥ 3× faster than C wall-clock.
 //!
 //! Records the timings into `BENCH_incremental.json`
 //! (`$WFMS_BENCH_INCREMENTAL` overrides the path).
@@ -44,7 +39,7 @@ struct WorkloadFile {
 /// The measurements stored per experiment in `BENCH_incremental.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct IncrementalRecord {
-    /// The recommended winner (identical across all three legs).
+    /// The recommended winner (identical across both legs).
     winner: Vec<usize>,
     /// Exact assessments the baseline paid.
     baseline_evaluations: usize,
@@ -54,11 +49,9 @@ struct IncrementalRecord {
     screened_out: usize,
     /// The screening tolerance of leg A.
     screen_epsilon: f64,
-    /// Baseline (non-incremental) greedy, ms.
+    /// Unscreened greedy, ms.
     baseline_ms: f64,
-    /// Incremental greedy (bit-identical results), ms.
-    incremental_ms: f64,
-    /// Screened + ranked incremental greedy, ms.
+    /// Screened + ranked greedy, ms.
     screened_ms: f64,
     /// `baseline_ms / screened_ms`.
     speedup: f64,
@@ -139,42 +132,11 @@ fn main() {
     let (registry, load) = enterprise_inputs();
     let goals = Goals::new(MAX_WAIT_MIN, MIN_AVAILABILITY).expect("valid goals");
 
-    println!("EXP-E3: incremental + screened greedy on examples/specs/enterprise");
+    println!("EXP-E3: screened greedy on examples/specs/enterprise");
     println!(
         "  goals: W_max = {MAX_WAIT_MIN} min, A_min = {MIN_AVAILABILITY}, budget {BUDGET}, \
          ε = {EPSILON:.0e}\n"
     );
-
-    // Bit-identity of the no-screen incremental leg, at jobs ∈ {1, 8}:
-    // the delta path must change the work, never a bit of the result —
-    // winner, trace, evaluation count, and the decision journal.
-    for jobs in [1usize, 8] {
-        let (base, base_journal, _) = run_greedy(
-            &registry,
-            &load,
-            &goals,
-            options(jobs).incremental(false).build(),
-        );
-        let (incr, incr_journal, _) = run_greedy(
-            &registry,
-            &load,
-            &goals,
-            options(jobs).incremental(true).build(),
-        );
-        assert_eq!(
-            serde_json::to_string(&base).expect("serialize"),
-            serde_json::to_string(&incr).expect("serialize"),
-            "jobs = {jobs}: incremental result diverged from baseline"
-        );
-        assert_eq!(
-            base_journal, incr_journal,
-            "jobs = {jobs}: incremental journal diverged from baseline"
-        );
-        println!(
-            "  jobs = {jobs}: incremental bit-identity ok ({} evaluations, winner Y = {:?})",
-            base.evaluations, base.assessment.replicas
-        );
-    }
 
     // Timed legs, sequential greedy (jobs = 1), best of TIMING_RUNS.
     let time_leg = |opts: SearchOptions| {
@@ -187,11 +149,9 @@ fn main() {
         }
         best.expect("at least one timed run")
     };
-    let (baseline, _, baseline_ms) = time_leg(options(1).incremental(false).build());
-    let (_, _, incremental_ms) = time_leg(options(1).incremental(true).build());
+    let (baseline, _, baseline_ms) = time_leg(options(1).build());
     let (screened, screened_journal, screened_ms) = time_leg(
         options(1)
-            .incremental(true)
             .screen_epsilon(SCREEN_EPSILON)
             .rank_moves(true)
             .build(),
@@ -203,12 +163,11 @@ fn main() {
     let speedup = baseline_ms / screened_ms;
 
     println!(
-        "\n  C baseline (from scratch)   : {baseline_ms:>9.2} ms  ({} exact assessments)",
+        "  C baseline (unscreened): {baseline_ms:>9.2} ms  ({} exact assessments)",
         baseline.evaluations
     );
-    println!("  B incremental (bit-identical): {incremental_ms:>9.2} ms");
     println!(
-        "  A screened + ranked          : {screened_ms:>9.2} ms  ({speedup:.1}x, {} exact, \
+        "  A screened + ranked    : {screened_ms:>9.2} ms  ({speedup:.1}x, {} exact, \
          {screened_out} screened out)",
         screened.evaluations
     );
@@ -230,7 +189,7 @@ fn main() {
     );
     assert!(
         speedup >= 3.0,
-        "screened greedy must be >= 3x faster than the from-scratch baseline, got {speedup:.2}x"
+        "screened greedy must be >= 3x faster than the unscreened baseline, got {speedup:.2}x"
     );
 
     let record = IncrementalRecord {
@@ -240,7 +199,6 @@ fn main() {
         screened_out,
         screen_epsilon: SCREEN_EPSILON,
         baseline_ms,
-        incremental_ms,
         screened_ms,
         speedup,
     };

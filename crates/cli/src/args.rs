@@ -139,7 +139,7 @@ pub const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "availability",
-        options: &["registry", "config", "avail-backend"],
+        options: &["registry", "config"],
         flags: &["json"],
     },
     CommandSpec {
@@ -152,9 +152,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "max-wait-type",
             "min-availability",
             "epsilon",
-            "avail-backend",
-            "solver-tol",
-            "solver-max-iter",
         ],
         flags: &["strict", "json"],
     },
@@ -171,18 +168,8 @@ pub const COMMANDS: &[CommandSpec] = &[
             "jobs",
             "epsilon",
             "screen-epsilon",
-            "avail-backend",
-            "solver-tol",
-            "solver-max-iter",
         ],
-        flags: &[
-            "optimal",
-            "annealing",
-            "strict",
-            "json",
-            "rank-moves",
-            "no-incremental",
-        ],
+        flags: &["optimal", "annealing", "strict", "json", "rank-moves"],
     },
     CommandSpec {
         name: "simulate",
@@ -202,9 +189,6 @@ pub const COMMANDS: &[CommandSpec] = &[
             "runs",
             "jobs",
             "epsilon",
-            "avail-backend",
-            "solver-tol",
-            "solver-max-iter",
             "baseline",
             "baseline-key",
             "gate",

@@ -10,13 +10,9 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use wfms_core::avail::{
-    AvailBackend, ProductFormModel, RepairPolicy, SparseAvailabilityModel, MINUTES_PER_YEAR,
-};
 use wfms_core::config::{
     move_sensitivities, sensitivity, Goals, SearchOptions, SensitivityOptions, TruncationReport,
 };
-use wfms_core::markov::linalg::GaussSeidelOptions;
 use wfms_core::sim::{run as simulate, SimOptions};
 use wfms_core::statechart::{chart_to_dot, map_chart, mapping_to_dot};
 use wfms_core::statechart::{paper_section52_registry, validate_spec};
@@ -41,7 +37,6 @@ pub const REQUIRED_STAGES: &[&str] = &[
     "workflow-analysis",
     "uniformize",
     "first-passage",
-    "avail-steady-state",
     "avail-product-form",
     "mg1-waiting",
     "performability",
@@ -55,8 +50,9 @@ pub const REQUIRED_STAGES: &[&str] = &[
 pub const REQUIRED_COUNTERS: &[&str] = &["engine.cache-hit", "performability.pruned-states"];
 
 /// Counters `profile --check` requires to STAY zero: a clean profiling
-/// run must never take a solver-fallback escalation or quarantine a
-/// candidate — if it does, the primary solver path is silently broken.
+/// run must never take a solver-fallback escalation (the resilient
+/// Markov solves of the workflow analysis) or quarantine a candidate —
+/// if it does, the primary solver path is silently broken.
 pub const REQUIRED_ZERO_COUNTERS: &[&str] = &["solver.fallback", "config.quarantined"];
 
 // The workload-file types moved into `wfms-serve` (both transports
@@ -221,61 +217,35 @@ fn parse_config(
     Ok(Configuration::new(registry, replicas).map_err(wfms_core::ConfigError::Arch)?)
 }
 
-/// `--avail-backend auto|dense|sparse|product` (default `auto`).
-fn parse_backend(args: &ParsedArgs) -> Result<AvailBackend, CliError> {
-    match args.get("avail-backend") {
-        None => Ok(AvailBackend::default()),
-        Some(raw) => raw.parse().map_err(|reason| {
-            CliError::Arg(ArgError::InvalidValue {
-                option: "avail-backend".into(),
-                value: raw.into(),
-                reason,
-            })
-        }),
-    }
-}
-
 /// Evaluation options shared by `assess`, `recommend`, and `profile`:
-/// the truncation ε, the availability backend, the iterative-solver
-/// budget (`--solver-tol`, `--solver-max-iter`), and the `--strict`
-/// fail-fast switch. `recommend` adds the incremental-path knobs:
-/// `--screen-epsilon` (adaptive-ε screening), `--rank-moves`
-/// (sensitivity-ranked screened growth), and `--no-incremental`
-/// (disable the delta patch, for A/B timing). Out-of-range values are
-/// rejected by [`wfms_core::config::AssessmentEngine::new`] as
-/// `InvalidOption`.
+/// the truncation ε and the `--strict` fail-fast switch. `recommend`
+/// adds the screening knobs: `--screen-epsilon` (adaptive-ε screening)
+/// and `--rank-moves` (sensitivity-ranked screened growth).
+/// Out-of-range values are rejected by
+/// [`wfms_core::config::AssessmentEngine::new`] as `InvalidOption`.
 fn parse_search_options(args: &ParsedArgs) -> Result<SearchOptions, CliError> {
     let mut builder = SearchOptions::builder()
-        .avail_backend(parse_backend(args)?)
         .strict(args.flag("strict"))
-        .rank_moves(args.flag("rank-moves"))
-        .incremental(!args.flag("no-incremental"));
+        .rank_moves(args.flag("rank-moves"));
     if let Some(epsilon) = args.get_f64("epsilon")? {
         builder = builder.epsilon(epsilon);
     }
     if let Some(screen) = args.get_f64("screen-epsilon")? {
         builder = builder.screen_epsilon(screen);
     }
-    if let Some(tolerance) = args.get_f64("solver-tol")? {
-        builder = builder.solver_tolerance(tolerance);
-    }
-    if let Some(max_iter) = args.get_u64("solver-max-iter")? {
-        builder = builder.solver_max_iterations(max_iter as usize);
-    }
     Ok(builder.build())
 }
 
-/// Renders the graceful-degradation accounting of an assessment: solver
-/// fallbacks taken and failed state evaluations charged at their
-/// pessimistic caps.
+/// Renders the graceful-degradation accounting of an assessment: the
+/// failed state evaluations charged at their pessimistic caps.
 fn write_degradation(
     out: &mut impl Write,
     d: &wfms_core::DegradationReport,
 ) -> Result<(), CliError> {
     writeln!(
         out,
-        "  DEGRADED: {} solver fallback(s), {} failed state(s) charged at the pessimistic cap (mass {:.3e})",
-        d.solver_fallbacks, d.failed_states, d.charged_mass
+        "  DEGRADED: {} failed state(s) charged at the pessimistic cap (mass {:.3e})",
+        d.failed_states, d.charged_mass
     )?;
     for r in d.details.iter().take(3) {
         writeln!(
@@ -350,38 +320,31 @@ COMMANDS
                exits non-zero when errors are present
   audit        [--root <dir>] [--format text|json]
                workspace invariant audit: scans the repository sources and
-               docs for registry drift, determinism hazards, panic-safety
-               violations, and deprecated-API callers (stable A-codes);
+               docs for registry drift, determinism hazards, and
+               panic-safety violations (stable A-codes);
                exits non-zero when errors are present
   analyze      --registry <file> --workload <file> [--json]
                per-workflow turnaround, request counts, percentiles
-  availability --registry <file> --config <y1,y2,..>
-               [--avail-backend auto|dense|sparse|product] [--json]
+  availability --registry <file> --config <y1,y2,..> [--json]
+               exact availability as the product of per-type marginals
   assess       --registry <file> --workload <file> --config <y1,..>
                [--max-wait <min>] [--max-wait-type <NAME=min,..>]
                [--min-availability <a>]
-               [--epsilon <e>] [--avail-backend auto|dense|sparse|product]
-               [--solver-tol <t>] [--solver-max-iter <n>] [--strict]
-               [--json]
-               --epsilon > 0 enables mass-pruned evaluation on the
-               product-form backend: states are consumed in descending
-               probability until mass >= 1-e; the report carries the
-               covered mass and a sound waiting-time error bound
+               [--epsilon <e>] [--strict] [--json]
+               --epsilon > 0 enables mass-pruned evaluation: states are
+               consumed in descending probability until mass >= 1-e; the
+               report carries the covered mass and a sound waiting-time
+               error bound
   recommend    --registry <file> --workload <file>
                [--max-wait <min>] [--max-wait-type <NAME=min,..>]
                [--min-availability <a>]
-               [--budget <servers>] [--jobs <n>] [--epsilon <e>]
-               [--avail-backend auto|dense|sparse|product]
-               [--solver-tol <t>] [--solver-max-iter <n>] [--strict]
+               [--budget <servers>] [--jobs <n>] [--epsilon <e>] [--strict]
                [--optimal | --annealing] [--screen-epsilon <e>]
-               [--rank-moves] [--no-incremental] [--json]
-               without --strict, failed availability solves escalate to a
-               dense LU fallback, failed state evaluations are charged at
-               their pessimistic waiting-time caps (reported as DEGRADED),
+               [--rank-moves] [--json]
+               without --strict, failed state evaluations are charged at
+               their pessimistic waiting-time caps (reported as DEGRADED)
                and irrecoverable candidates are quarantined rather than
                aborting the search; --strict restores fail-fast.
-               one-replica neighbours reuse the incumbent's cached
-               per-type marginals (disable with --no-incremental);
                --screen-epsilon > 0 prunes candidates the loose-e
                truncation bounds prove infeasible; --rank-moves picks
                growth moves by closed-form sensitivity when the exact
@@ -391,14 +354,13 @@ COMMANDS
                [--failures] [--json]
   profile      --registry <file> --workload <file> [--config <y1,..>]
                [--max-wait <min>] [--min-availability <a>] [--runs <n>]
-               [--jobs <n>] [--epsilon <e>] [--solver-tol <t>]
-               [--solver-max-iter <n>] [--strict] [--check]
+               [--jobs <n>] [--epsilon <e>] [--strict] [--check]
                [--baseline <file>] [--baseline-key <name>] [--gate <pct>]
                [--json]
                run the analysis stack N times (including an
-               engine-backed greedy search and an e-truncated
-               product-form pass, default epsilon 1e-4) and report
-               per-stage wall time and solver iteration counts; --check
+               engine-backed greedy search and an e-truncated pass,
+               default epsilon 1e-4) and report per-stage wall time
+               and solver iteration counts; --check
                fails when a required stage (incl. avail-product-form)
                records no spans, a required counter (engine.cache-hit,
                performability.pruned-states) stays zero, or a
@@ -808,7 +770,6 @@ fn cmd_analyze(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
 #[derive(Debug, Serialize)]
 struct AvailabilityReport {
     configuration: Vec<usize>,
-    backend: String,
     availability: f64,
     downtime_minutes_per_year: f64,
 }
@@ -816,41 +777,19 @@ struct AvailabilityReport {
 fn cmd_availability(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
     let registry = load_registry(args)?;
     let config = parse_config(args, &registry)?;
-    let backend = parse_backend(args)?;
-    // Auto means the historical default here: the dense LU solve.
-    let availability = match backend {
-        AvailBackend::Auto | AvailBackend::Dense => {
-            ConfigurationTool::new(registry)
-                .availability(&config)?
-                .availability
-        }
-        AvailBackend::Sparse => {
-            let model = SparseAvailabilityModel::new(&registry, &config, RepairPolicy::Independent)
-                .map_err(wfms_core::ConfigError::Avail)?;
-            let pi = model
-                .steady_state(GaussSeidelOptions::default())
-                .map_err(wfms_core::ConfigError::Avail)?;
-            model
-                .availability(&pi)
-                .map_err(wfms_core::ConfigError::Avail)?
-        }
-        AvailBackend::Product => ProductFormModel::new(&registry, &config)
-            .map_err(wfms_core::ConfigError::Avail)?
-            .availability(),
-    };
+    let figures = ConfigurationTool::new(registry).availability(&config)?;
     let report = AvailabilityReport {
         configuration: config.as_slice().to_vec(),
-        backend: backend.to_string(),
-        availability,
-        downtime_minutes_per_year: (1.0 - availability) * MINUTES_PER_YEAR,
+        availability: figures.availability,
+        downtime_minutes_per_year: figures.downtime_minutes_per_year,
     };
     if args.flag("json") {
         writeln!(out, "{}", render_json(&report)?)?;
     } else {
         writeln!(
             out,
-            "{config}: availability {:.8} ({:.2} min downtime/year, {} backend)",
-            report.availability, report.downtime_minutes_per_year, report.backend
+            "{config}: availability {:.8} ({:.2} min downtime/year)",
+            report.availability, report.downtime_minutes_per_year
         )?;
     }
     Ok(())
@@ -874,9 +813,9 @@ fn cmd_assess(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> {
         max_wait: args.get_f64("max-wait")?,
         min_availability: args.get_f64("min-availability")?,
         epsilon: args.get_f64("epsilon")?,
-        avail_backend: args.get("avail-backend").map(str::to_string),
-        solver_tol: args.get_f64("solver-tol")?,
-        solver_max_iter: args.get_u64("solver-max-iter")?,
+        avail_backend: None,
+        solver_tol: None,
+        solver_max_iter: None,
         strict: args.flag("strict").then_some(true),
         per_type_max_wait: parse_per_type_waits(args)?,
     };
@@ -956,13 +895,13 @@ fn cmd_recommend(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError
         jobs: args.get_u64("jobs")?,
         seed: args.get_u64("seed")?,
         epsilon: args.get_f64("epsilon")?,
-        avail_backend: args.get("avail-backend").map(str::to_string),
-        solver_tol: args.get_f64("solver-tol")?,
-        solver_max_iter: args.get_u64("solver-max-iter")?,
+        avail_backend: None,
+        solver_tol: None,
+        solver_max_iter: None,
         strict: args.flag("strict").then_some(true),
         screen_epsilon: args.get_f64("screen-epsilon")?,
         rank_moves: args.flag("rank-moves").then_some(true),
-        incremental: args.flag("no-incremental").then_some(false),
+        incremental: None,
         per_type_max_wait: parse_per_type_waits(args)?,
     };
     let request = Request::new(METHOD_RECOMMEND, encode_params(&params)?);
@@ -1413,12 +1352,12 @@ fn profile_once(
         | Err(wfms_core::ConfigError::LoadUnsustainable { .. }) => {}
         Err(e) => return Err(e.into()),
     }
-    // Re-assess the profiled configuration: replays from the
-    // availability-solution and degraded-state caches.
+    // Re-assess the profiled configuration: replays from the block and
+    // degraded-state caches.
     engine.assess(config)?;
-    // ε-truncated product-form pass: exercises the fast availability
-    // backend so `--check` can gate on the `avail-product-form` span and
-    // the `performability.pruned-states` counter. With the default
+    // ε-truncated pass: exercises the descending-π enumeration so
+    // `--check` can gate on the `performability.pruned-states` counter.
+    // With the default
     // ε = 1e-4 the all-down tail always carries less mass than ε, so at
     // least one state is pruned on any non-trivial configuration.
     let truncated = tool.engine(goals, SearchOptions { epsilon, ..base })?;
@@ -1731,12 +1670,11 @@ fn cmd_explain(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
     }
     writeln!(
         out,
-        "  cache: state {}h/{}m, block {}h/{}m, solution {}",
+        "  cache: state {}h/{}m, block {}h/{}m",
         winner.cache.state_hits,
         winner.cache.state_misses,
         winner.cache.block_hits,
-        winner.cache.block_misses,
-        winner.cache.solution
+        winner.cache.block_misses
     )?;
     if let Some(t) = &winner.truncation {
         writeln!(
@@ -1748,8 +1686,8 @@ fn cmd_explain(args: &ParsedArgs, out: &mut impl Write) -> Result<(), CliError> 
     if let Some(d) = &winner.degradation {
         writeln!(
             out,
-            "  degradation: {} failed state(s), charged mass {:.3e}, {} solver fallback(s)",
-            d.failed_states, d.charged_mass, d.solver_fallbacks
+            "  degradation: {} failed state(s), charged mass {:.3e}",
+            d.failed_states, d.charged_mass
         )?;
     }
     writeln!(

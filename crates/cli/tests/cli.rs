@@ -150,39 +150,79 @@ fn assess_reports_goal_outcome() {
 }
 
 #[test]
-fn availability_backends_agree() {
-    let dir = scenario("availability-backends");
-    let mut values = Vec::new();
-    for backend in ["auto", "dense", "sparse", "product"] {
-        let out = invoke(&[
-            "availability",
-            "--registry",
-            &dir.path("registry.json"),
-            "--config",
-            "2,2,3",
-            "--avail-backend",
-            backend,
-            "--json",
-        ])
-        .unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
-        assert_eq!(parsed["backend"].as_str().unwrap(), backend);
-        values.push(parsed["availability"].as_f64().unwrap());
-    }
-    for v in &values[1..] {
-        assert!((v - values[0]).abs() < 1e-9, "{values:?}");
-    }
-    let err = invoke(&[
+fn availability_is_the_closed_form_product() {
+    let dir = scenario("availability-product");
+    let out = invoke(&[
         "availability",
         "--registry",
         &dir.path("registry.json"),
         "--config",
         "2,2,3",
-        "--avail-backend",
-        "quantum",
+        "--json",
     ])
-    .unwrap_err();
-    assert!(err.to_string().contains("avail-backend"), "{err}");
+    .unwrap();
+    let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+    let availability = parsed["availability"].as_f64().unwrap();
+    let registry = wfms_core::statechart::paper_section52_registry();
+    let config = wfms_core::Configuration::new(&registry, vec![2, 2, 3]).unwrap();
+    let closed = wfms_core::avail::closed_form_unavailability(&registry, &config).unwrap();
+    assert!(
+        ((1.0 - availability) - closed).abs() <= 1e-12 * closed,
+        "{availability} vs closed form {}",
+        1.0 - closed
+    );
+    assert!(parsed.get("backend").is_none(), "{out}");
+}
+
+#[test]
+fn retired_engine_flags_are_rejected() {
+    let dir = scenario("retired-flags");
+    let (registry, workload) = (dir.path("registry.json"), dir.path("workload.json"));
+    let model = ["--registry", &registry, "--workload", &workload];
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (
+            vec![
+                "availability",
+                "--registry",
+                &registry,
+                "--config",
+                "2,2,2",
+                "--avail-backend",
+                "dense",
+            ],
+            "avail-backend",
+        ),
+        (
+            [
+                &["assess"],
+                &model[..],
+                &["--config", "2,2,2", "--avail-backend", "sparse"],
+            ]
+            .concat(),
+            "avail-backend",
+        ),
+        (
+            [
+                &["assess"],
+                &model[..],
+                &["--config", "2,2,2", "--solver-tol", "1e-12"],
+            ]
+            .concat(),
+            "solver-tol",
+        ),
+        (
+            [&["recommend"], &model[..], &["--solver-max-iter", "10"]].concat(),
+            "solver-max-iter",
+        ),
+        (
+            [&["recommend"], &model[..], &["--no-incremental"]].concat(),
+            "no-incremental",
+        ),
+    ];
+    for (tokens, flag) in cases {
+        let err = invoke(&tokens).unwrap_err();
+        assert!(err.to_string().contains(flag), "{tokens:?}: {err}");
+    }
 }
 
 #[test]
@@ -670,159 +710,6 @@ fn export_dot_renders_both_views() {
     ])
     .unwrap_err();
     assert!(err.to_string().contains("chart"), "{err}");
-}
-
-#[test]
-fn assess_reports_solver_degradation_and_strict_restores_failfast() {
-    let dir = scenario("degrade");
-    // A one-sweep Gauss–Seidel budget cannot converge: without --strict
-    // the engine escalates to the dense LU fallback and reports it.
-    let degraded = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "2,2,2",
-        "--max-wait",
-        "0.5",
-        "--avail-backend",
-        "sparse",
-        "--solver-max-iter",
-        "1",
-    ])
-    .unwrap();
-    assert!(degraded.contains("DEGRADED"), "missing marker: {degraded}");
-    assert!(degraded.contains("1 solver fallback(s)"));
-
-    // The fallback is numerically transparent: the degraded run reports
-    // the same availability line as a clean dense solve.
-    let clean = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "2,2,2",
-        "--max-wait",
-        "0.5",
-    ])
-    .unwrap();
-    assert!(!clean.contains("DEGRADED"));
-    let avail_line = |s: &str| {
-        s.lines()
-            .find(|l| l.contains("availability"))
-            .expect("availability line")
-            .to_string()
-    };
-    assert_eq!(avail_line(&degraded), avail_line(&clean));
-
-    // --strict restores fail-fast: the starved solve is a hard error.
-    let err = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "2,2,2",
-        "--max-wait",
-        "0.5",
-        "--avail-backend",
-        "sparse",
-        "--solver-max-iter",
-        "1",
-        "--strict",
-    ])
-    .unwrap_err();
-    // Model-level failures now travel through the shared request
-    // handler as typed `tool` payloads; the printed text is unchanged.
-    assert!(
-        matches!(err, CliError::Remote { ref kind, .. } if kind == "tool"),
-        "got {err:?}"
-    );
-    assert!(err.to_string().contains("no convergence"), "got {err}");
-}
-
-#[test]
-fn solver_options_are_validated() {
-    let dir = scenario("solveropts");
-    let err = invoke(&[
-        "assess",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--config",
-        "2,2,2",
-        "--max-wait",
-        "0.5",
-        "--solver-tol",
-        "0",
-    ])
-    .unwrap_err();
-    assert!(err.to_string().contains("solver tolerance"), "got {err:?}");
-    let err = invoke(&[
-        "recommend",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--max-wait",
-        "0.5",
-        "--solver-max-iter",
-        "0",
-    ])
-    .unwrap_err();
-    assert!(
-        err.to_string().contains("solver max-iterations"),
-        "got {err:?}"
-    );
-}
-
-#[test]
-fn recommend_reports_degradation_on_a_starved_sparse_solver() {
-    let dir = scenario("recdegrade");
-    let out = invoke(&[
-        "recommend",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--max-wait",
-        "0.5",
-        "--min-availability",
-        "0.9999",
-        "--avail-backend",
-        "sparse",
-        "--solver-max-iter",
-        "1",
-    ])
-    .unwrap();
-    assert!(out.contains("DEGRADED"), "missing marker: {out}");
-
-    // The degraded search lands on the same configuration as a clean one.
-    let clean = invoke(&[
-        "recommend",
-        "--registry",
-        &dir.path("registry.json"),
-        "--workload",
-        &dir.path("workload.json"),
-        "--max-wait",
-        "0.5",
-        "--min-availability",
-        "0.9999",
-    ])
-    .unwrap();
-    let recommend_line = |s: &str| {
-        s.lines()
-            .find(|l| l.contains("recommend"))
-            .expect("recommend line")
-            .to_string()
-    };
-    assert_eq!(recommend_line(&out), recommend_line(&clean));
 }
 
 /// Builds a one-file fake workspace for `wfms audit --root`.

@@ -224,17 +224,22 @@ fn profile_gate_passes_clean_and_fails_under_injected_delay() {
     assert!(stdout.contains("0 regressed"), "{stdout}");
     assert!(!stdout.contains("REGRESSED"), "{stdout}");
 
-    // A 25ms failpoint delay on every steady-state availability solve
-    // inflates that stage's share past any 25% gate.
+    // A 25ms failpoint delay before every performability fold lands in
+    // the enclosing `assess` span and inflates its share past any 25%
+    // gate.
     let output = wfms()
         .args(gate_args)
-        .env("WFMS_FAULTS", "avail.steady-state=delay:25ms@1.0")
+        .env("WFMS_FAULTS", "performability.fold=delay:25ms@1.0")
         .output()
         .expect("run wfms");
     assert_eq!(output.status.code(), Some(1), "{output:?}");
     let stdout = String::from_utf8(output.stdout).unwrap();
-    assert!(stdout.contains("REGRESSED"), "{stdout}");
-    assert!(stdout.contains("avail-steady-state"), "{stdout}");
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.contains("REGRESSED") && l.trim_start().starts_with("assess ")),
+        "{stdout}"
+    );
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(stderr.contains("regressed past the gate"), "{stderr}");
 }

@@ -1,8 +1,10 @@
 //! Resilience tests against the spawned binary under deterministic
 //! fault injection: the panic-contained worker watchdog, the retrying
 //! `wfms call` client converging to byte-identical answers through
-//! injected handler faults, retry exhaustion, the per-type waiting-goal
-//! flag, and the full resilience flag surface of `wfms serve`.
+//! injected handler faults, retry exhaustion, graceful degradation of
+//! one-shot assessments under a failing state-cache fill, the per-type
+//! waiting-goal flag, and the full resilience flag surface of
+//! `wfms serve`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -303,6 +305,77 @@ fn call_reports_exhausted_retries_with_the_last_error() {
         stderr.contains("no response after 1 retries"),
         "names the retry budget: {stderr}"
     );
+}
+
+fn wfms_with_faults(args: &[&str], faults: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_wfms"))
+        .args(args)
+        .env("WFMS_FAULTS", faults)
+        .output()
+        .expect("run wfms")
+}
+
+#[test]
+fn failed_state_fills_degrade_visibly_and_strict_restores_failfast() {
+    const FILL_FAILS: &str = "engine.state-cache-fill=error@1.0";
+    let line = |out: &Output, needle: &str| -> String {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .find(|l| l.contains(needle))
+            .unwrap_or_else(|| panic!("no {needle:?} line: {out:?}"))
+            .to_string()
+    };
+    let assess = [
+        "assess",
+        "--registry",
+        &spec_path("registry.json"),
+        "--workload",
+        &spec_path("workload.json"),
+        "--config",
+        "2,2,2",
+        "--max-wait",
+        "0.5",
+    ];
+    // Every state is charged at its pessimistic cap and disclosed; the
+    // availability comes from the unaffected product-form solve.
+    let clean = wfms(&assess);
+    let degraded = wfms_with_faults(&assess, FILL_FAILS);
+    assert!(degraded.status.success(), "{degraded:?}");
+    assert!(
+        line(&degraded, "DEGRADED").contains("27 failed state(s)"),
+        "{degraded:?}"
+    );
+    assert!(!String::from_utf8_lossy(&clean.stdout).contains("DEGRADED"));
+    assert_eq!(
+        line(&degraded, "availability"),
+        line(&clean, "availability")
+    );
+
+    // --strict restores fail-fast: the failed fill is a hard error.
+    let strict = wfms_with_faults(&[&assess[..], &["--strict"]].concat(), FILL_FAILS);
+    assert!(!strict.status.success(), "{strict:?}");
+    assert!(
+        String::from_utf8_lossy(&strict.stderr).contains("engine.state-cache-fill"),
+        "{strict:?}"
+    );
+
+    // The degraded search still lands on the clean winner.
+    let recommend = [
+        "recommend",
+        "--registry",
+        &spec_path("registry.json"),
+        "--workload",
+        &spec_path("workload.json"),
+        "--max-wait",
+        "0.5",
+        "--min-availability",
+        "0.9999",
+    ];
+    let clean = wfms(&recommend);
+    let degraded = wfms_with_faults(&recommend, FILL_FAILS);
+    assert!(degraded.status.success(), "{degraded:?}");
+    assert!(String::from_utf8_lossy(&degraded.stdout).contains("DEGRADED"));
+    assert_eq!(line(&degraded, "recommend"), line(&clean, "recommend"));
 }
 
 #[test]

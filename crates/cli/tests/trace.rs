@@ -43,7 +43,7 @@ fn assess_trace_json_covers_the_analysis_stages() {
     for stage in [
         "uniformize",
         "first-passage",
-        "avail-steady-state",
+        "avail-product-form",
         "mg1-waiting",
         "performability",
     ] {
@@ -114,8 +114,7 @@ fn trace_out_writes_a_parsable_snapshot_file() {
     let text = std::fs::read_to_string(&path).expect("trace file written");
     let _ = std::fs::remove_file(&path);
     let snapshot = wfms_obs::from_json(&text).expect("file is a trace snapshot");
-    assert!(snapshot.span_count("avail-steady-state") > 0);
-    assert!(snapshot.gauges.contains_key("avail.state-space.size"));
+    assert!(snapshot.span_count("avail-product-form") > 0);
 }
 
 #[test]

@@ -4,12 +4,10 @@ use serde::{Deserialize, Serialize};
 
 use wfms_perf::SystemLoad;
 use wfms_performability::TruncationReport;
-use wfms_statechart::{Configuration, ServerTypeRegistry};
+use wfms_statechart::ServerTypeRegistry;
 
-use crate::engine::AssessmentEngine;
 use crate::error::ConfigError;
-use crate::goals::{GoalCheck, Goals};
-use crate::search::SearchOptions;
+use crate::goals::GoalCheck;
 
 /// Cap on the per-state failure records kept in a
 /// [`DegradationReport`]; the `failed_states` count is always exact.
@@ -44,10 +42,6 @@ pub struct DegradationReport {
     pub failed_states: usize,
     /// Total stationary mass of those states.
     pub charged_mass: f64,
-    /// Availability-solver escalations taken while producing this
-    /// assessment's stationary vector (e.g. sparse Gauss–Seidel → dense
-    /// LU). Mirrors the `solver.fallback` obs counter.
-    pub solver_fallbacks: u32,
     /// Per-state failure detail, capped at [`DEGRADATION_DETAIL_CAP`]
     /// entries ([`DegradationReport::failed_states`] stays exact).
     pub details: Vec<DegradedStateRecord>,
@@ -86,15 +80,13 @@ pub struct Assessment {
     /// nominally up.
     pub probability_saturated: f64,
     /// Accounting for ε-truncated evaluation, present **iff** the
-    /// performability fold ran on the product-form backend (see
+    /// performability fold ran with `ε > 0` (see
     /// [`SearchOptions::epsilon`](crate::SearchOptions)). `None` on the
-    /// exhaustive dense/sparse path. With `ε = 0` the report is still
-    /// attached but records zero skipped states, zero skipped mass, and
-    /// all-zero error bounds.
+    /// exhaustive `ε = 0` fold.
     pub truncation: Option<TruncationReport>,
-    /// Graceful-degradation accounting, present **iff** some part of the
-    /// evaluation failed and was repaired (solver fallback, pessimistic
-    /// state charging). `None` in clean runs and always `None` under
+    /// Graceful-degradation accounting, present **iff** some state
+    /// evaluation failed and was charged at its pessimistic cap. `None`
+    /// in clean runs and always `None` under
     /// [`SearchOptions::strict`](crate::SearchOptions) (failures abort
     /// instead).
     #[serde(default)]
@@ -113,8 +105,8 @@ impl Assessment {
 /// Runs the static preflight pass of `wfms-analysis` over the inputs and
 /// fails fast with the **complete** finding list when it reports errors.
 ///
-/// Shared by [`assess`] and the searches; saturation is deliberately not
-/// a preflight error (see `wfms_analysis::preflight`).
+/// Shared by engine construction and every assessment; saturation is
+/// deliberately not a preflight error (see `wfms_analysis::preflight`).
 pub(crate) fn run_preflight(
     registry: &ServerTypeRegistry,
     load: &SystemLoad,
@@ -127,37 +119,22 @@ pub(crate) fn run_preflight(
     Ok(())
 }
 
-/// Evaluates `config` against `goals` under `load`: availability from the
-/// Sec. 5 model, waiting times from the Sec. 6 performability model.
-///
-/// A configuration whose full-strength state cannot serve the load is not
-/// an error — it simply fails the waiting-time goal
-/// (`expected_waiting = None`; see [`Assessment::expected_waiting`] for
-/// the exact semantics).
-///
-/// Thin wrapper over [`AssessmentEngine::assess`] on a fresh,
-/// single-shot engine — **deprecated doc note**: callers assessing more
-/// than one candidate should construct an [`AssessmentEngine`] and reuse
-/// its caches.
-///
-/// # Errors
-/// Model failures as [`ConfigError`] (goal violations are reported
-/// in-band, not as errors).
-pub fn assess(
-    registry: &ServerTypeRegistry,
-    config: &Configuration,
-    load: &SystemLoad,
-    goals: &Goals,
-) -> Result<Assessment, ConfigError> {
-    goals.validate()?;
-    run_preflight(registry, load, Some(config.as_slice()))?;
-    AssessmentEngine::new(registry, load, goals, SearchOptions::default())?.assess(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfms_statechart::paper_section52_registry;
+    use crate::engine::AssessmentEngine;
+    use crate::goals::Goals;
+    use crate::search::SearchOptions;
+    use wfms_statechart::{paper_section52_registry, Configuration};
+
+    fn assess(
+        reg: &ServerTypeRegistry,
+        config: &Configuration,
+        load: &SystemLoad,
+        goals: &Goals,
+    ) -> Result<Assessment, ConfigError> {
+        AssessmentEngine::new(reg, load, goals, SearchOptions::default())?.assess(config)
+    }
 
     fn load_at(rho_single: f64, reg: &ServerTypeRegistry) -> SystemLoad {
         let rates: Vec<f64> = reg
@@ -193,12 +170,7 @@ mod tests {
             active_instances: vec![],
         };
         assert!(matches!(
-            crate::search::greedy_search(
-                &reg,
-                &short,
-                &goals,
-                &crate::search::SearchOptions::default()
-            ),
+            AssessmentEngine::new(&reg, &short, &goals, SearchOptions::default()),
             Err(ConfigError::Preflight(_))
         ));
     }

@@ -1,13 +1,11 @@
 //! The assessment engine: a session-style, memoizing, parallel
 //! evaluation core behind the configuration searches.
 //!
-//! The free functions of [`crate::assess`] and [`crate::search`]
-//! recompute every degraded-state waiting-time vector and every
-//! availability chain from scratch for each candidate — yet neighbouring
-//! candidates (`Y` vs `Y + e_k`) share almost their entire state space.
-//! [`AssessmentEngine`] owns the search inputs ([`ServerTypeRegistry`],
-//! [`SystemLoad`], [`Goals`], [`SearchOptions`]) and threads three
-//! shared memo layers through all assessments:
+//! A search's candidates are neighbours (`Y` vs `Y + e_k`) that share
+//! almost their entire state space. [`AssessmentEngine`] owns the search
+//! inputs ([`ServerTypeRegistry`], [`SystemLoad`], [`Goals`],
+//! [`SearchOptions`]) and threads two shared memo layers through all
+//! assessments:
 //!
 //! 1. **Degraded-state cache** — keyed by the system state vector `X`,
 //!    holding the per-state waiting-time vector `w^X` and saturation
@@ -16,13 +14,16 @@
 //!    `Y` containing `X`, so each state is evaluated once across the
 //!    whole search.
 //! 2. **Birth–death-block cache** — keyed by `(type, Y_x)`, holding the
-//!    per-type rate ladders ([`wfms_avail::BirthDeathBlock`]) of the
-//!    availability CTMC, so the generator for `Y + e_k` reuses the
-//!    blocks of every unchanged type.
-//! 3. **Availability-solution cache** — keyed by `Y`, holding the
-//!    steady-state vector and availability, so re-assessing a candidate
-//!    (greedy revisits, annealing walks, warm re-runs) skips the LU
-//!    solve entirely.
+//!    per-type rate ladder ([`wfms_avail::BirthDeathBlock`]) whose
+//!    closed-form marginal is that type's factor of the product-form
+//!    stationary distribution ([`ProductFormModel`]). A candidate's
+//!    availability is the product of its `k` marginals, so `Y + e_k`
+//!    tabulates only the one new block.
+//!
+//! Availability is always solved in product form. At `ε = 0` the
+//! performability fold visits every state in encoding order; at `ε > 0`
+//! it walks the states in descending `π` order and stops once the
+//! covered mass reaches `1 − ε`.
 //!
 //! Candidate evaluation over the exhaustive/B&B frontier — and the
 //! per-state kernel over the independent degraded states of one
@@ -30,28 +31,24 @@
 //!
 //! # Determinism contract
 //!
-//! Results are **bit-identical** to the serial free-function path for
-//! every `jobs` value. Three properties guarantee it: the cached values
-//! are outputs of pure functions evaluated with exactly the same float
-//! operations as the direct path; parallel maps reduce in input order;
-//! and the frontier is scanned in enumeration order with fixed-size
-//! batches whose surplus results (past the first goal-satisfying
-//! candidate) are discarded, so `trace` and `evaluations` match the
-//! serial early-exit semantics exactly.
+//! Results are **bit-identical** for every `jobs` value and between
+//! cold and warm engines. Three properties guarantee it: the cached
+//! values are outputs of pure functions; parallel maps reduce in input
+//! order; and the frontier is scanned in enumeration order with
+//! fixed-size batches whose surplus results (past the first
+//! goal-satisfying candidate) are discarded, so `trace` and
+//! `evaluations` match the serial early-exit semantics exactly.
 //!
 //! # Observability
 //!
 //! Stable names (see `wfms-obs`): counters `engine.cache-hit` /
-//! `engine.cache-miss` aggregate over the three cache layers; the
-//! counter `engine.delta-assess` (with its `delta-assess` span) fires
-//! once per availability solve answered by patching a cached
-//! neighbour's marginals instead of rebuilding them; the counter
+//! `engine.cache-miss` aggregate over both cache layers; the counter
 //! `engine.screen-reject` fires once per candidate the adaptive-ε
 //! screen proves infeasible; gauge `engine.parallel-candidates`
 //! reports the size of the last candidate batch dispatched in
 //! parallel.
 
-// audit:allow-file(A006, reason = "the three caches are keyed lookups (get/insert only, never iterated), so hash order never reaches results; bit-identity is asserted by tests/engine.rs")
+// audit:allow-file(A006, reason = "both caches are keyed lookups (get/insert only, never iterated), so hash order never reaches results; bit-identity is asserted by tests/engine.rs")
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,12 +56,7 @@ use std::sync::{Arc, Mutex};
 
 use rayon::prelude::*;
 
-use wfms_avail::{
-    select_backend, AvailBackend, AvailabilityModel, BirthDeathBlock, ProductFormModel,
-    RepairPolicy, SparseAvailabilityModel, StateSpace, MINUTES_PER_YEAR,
-};
-use wfms_markov::ctmc::SteadyStateMethod;
-use wfms_markov::linalg::GaussSeidelOptions;
+use wfms_avail::{BirthDeathBlock, ProductFormModel, RepairPolicy, StateSpace, MINUTES_PER_YEAR};
 use wfms_perf::{SystemLoad, WaitingOutcome};
 use wfms_performability::{
     evaluate_state, fold_states, fold_states_truncated, waiting_time_caps, DegradedPolicy,
@@ -140,7 +132,7 @@ fn lock_cache<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A tick-stamped LRU map for the state and solution caches: `get`
+/// A tick-stamped LRU map for the degraded-state cache: `get`
 /// refreshes recency, and `insert` at capacity evicts the
 /// least-recently-used entry (capacity `0` disables caching entirely,
 /// preserving the historical contract). A `BTreeMap` recency index
@@ -172,10 +164,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     fn len(&self) -> usize {
         self.map.len()
-    }
-
-    fn contains_key(&self, key: &K) -> bool {
-        self.map.contains_key(key)
     }
 
     fn get<Q>(&mut self, key: &Q) -> Option<Arc<V>>
@@ -223,7 +211,6 @@ struct CacheCounters {
     state_misses: std::cell::Cell<u64>,
     block_hits: std::cell::Cell<u64>,
     block_misses: std::cell::Cell<u64>,
-    solution_hit: std::cell::Cell<Option<bool>>,
 }
 
 impl CacheCounters {
@@ -233,11 +220,6 @@ impl CacheCounters {
             state_misses: self.state_misses.get(),
             block_hits: self.block_hits.get(),
             block_misses: self.block_misses.get(),
-            solution: match self.solution_hit.get() {
-                Some(true) => "hit".to_string(),
-                Some(false) => "miss".to_string(),
-                None => "unknown".to_string(),
-            },
         }
     }
 }
@@ -253,37 +235,21 @@ fn poison_first_stable(evaluation: &mut StateEvaluation) {
     }
 }
 
-/// A cached availability solve for one candidate `Y`, shaped by the
-/// backend that produced it.
-#[derive(Debug)]
-enum AvailabilitySolution {
-    /// Dense LU or sparse Gauss–Seidel: the materialized stationary
-    /// vector in encoding order. `fallbacks` counts solver escalations
-    /// taken to produce the vector (sparse Gauss–Seidel → dense LU), so
-    /// warm cache hits still report the degradation they were born with.
-    Explicit {
-        pi: Vec<f64>,
-        availability: f64,
-        fallbacks: u32,
-    },
-    /// Product form: per-type marginals only — `π` is never
-    /// materialized (that is the `O(Σ Y_x)` point of the backend);
-    /// states are enumerated lazily in descending `π` order instead.
-    Product(ProductFormModel),
-}
+/// Every state's evaluation in encoding order (`None` = not evaluated),
+/// plus the error of a failed batch fill; see
+/// [`AssessmentEngine::state_evaluations`].
+type StateEvaluations = (
+    Vec<Option<Arc<StateEvaluation>>>,
+    Option<PerformabilityError>,
+);
 
-/// Key of the availability-solution cache: the candidate `Y` plus the
-/// backend that solved it, so e.g. an exact dense reference can coexist
-/// with the product form for the same candidate.
-type SolutionKey = (Vec<usize>, AvailBackend);
-
-impl AvailabilitySolution {
-    fn availability(&self) -> f64 {
-        match self {
-            AvailabilitySolution::Explicit { availability, .. } => *availability,
-            AvailabilitySolution::Product(model) => model.availability(),
-        }
-    }
+/// One candidate's availability solve: the product-form model over its
+/// per-type marginals, plus the availability the assessment reports.
+/// The two differ only under a `nan` fault injection, which poisons the
+/// reported availability so the non-finite guard fires.
+struct AvailabilitySolve {
+    model: ProductFormModel,
+    availability: f64,
 }
 
 /// Entry counts and hit/miss totals of the engine's cache layers.
@@ -291,8 +257,6 @@ impl AvailabilitySolution {
 pub struct CacheStats {
     /// Degraded-state entries (`X → w^X`).
     pub state_entries: usize,
-    /// Availability-solution entries (`Y → π`).
-    pub solution_entries: usize,
     /// Birth–death-block entries (`(type, Y_x)` ladders).
     pub block_entries: usize,
     /// Total lookups answered from a cache, over all layers.
@@ -316,7 +280,6 @@ pub struct AssessmentEngine {
     options: SearchOptions,
     pool: rayon::ThreadPool,
     states: Mutex<LruCache<Vec<usize>, StateEvaluation>>,
-    solutions: Mutex<LruCache<SolutionKey, AvailabilitySolution>>,
     blocks: Mutex<HashMap<(usize, usize), Arc<BirthDeathBlock>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -341,9 +304,8 @@ impl AssessmentEngine {
     /// # Errors
     /// * [`ConfigError::NoGoals`] / [`ConfigError::InvalidGoal`] on bad
     ///   goals.
-    /// * [`ConfigError::InvalidOption`] on a truncation `ε` outside
-    ///   `[0, 1)`, a non-positive solver tolerance, or a zero solver
-    ///   iteration cap.
+    /// * [`ConfigError::InvalidOption`] on a truncation or screening `ε`
+    ///   outside `[0, 1)`.
     /// * [`ConfigError::Preflight`] when static analysis finds errors.
     pub fn new(
         registry: &ServerTypeRegistry,
@@ -364,18 +326,6 @@ impl AssessmentEngine {
                 value: options.screen_epsilon,
             });
         }
-        if !(options.solver_tolerance.is_finite() && options.solver_tolerance > 0.0) {
-            return Err(ConfigError::InvalidOption {
-                what: "solver tolerance",
-                value: options.solver_tolerance,
-            });
-        }
-        if options.solver_max_iterations == 0 {
-            return Err(ConfigError::InvalidOption {
-                what: "solver max-iterations",
-                value: 0.0,
-            });
-        }
         run_preflight(registry, load, None)?;
         // Infallible with the vendored rayon stand-in: `build()` only
         // fails on resource exhaustion spawning OS threads, at which
@@ -392,7 +342,6 @@ impl AssessmentEngine {
             options,
             pool,
             states: Mutex::new(LruCache::with_capacity(options.state_cache_capacity)),
-            solutions: Mutex::new(LruCache::with_capacity(options.solution_cache_capacity)),
             blocks: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -423,7 +372,6 @@ impl AssessmentEngine {
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             state_entries: lock_cache(&self.states).len(),
-            solution_entries: lock_cache(&self.solutions).len(),
             block_entries: lock_cache(&self.blocks).len(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -447,7 +395,9 @@ impl AssessmentEngine {
     // -- cache layers -----------------------------------------------------
 
     /// The birth–death rate ladders for `replicas` servers of type `j`,
-    /// from the block cache.
+    /// from the block cache. The engine's chains use independent repair
+    /// throughout, the policy under which the availability chain is a
+    /// product of per-type birth–death chains.
     fn block(
         &self,
         j: usize,
@@ -467,318 +417,154 @@ impl AssessmentEngine {
             replicas,
             RepairPolicy::Independent,
         ));
-        self.blocks
-            .lock()
-            // audit:allow(A008, reason = "a poisoned cache mutex means another worker already panicked; propagating is the only sound option")
-            .expect("block cache")
-            .insert((j, replicas), block.clone());
+        lock_cache(&self.blocks).insert((j, replicas), block.clone());
         Ok(block)
     }
 
-    /// Resolves the engine's configured backend for one candidate: a
-    /// pure function of the options and the candidate's state-space
-    /// size, so the same candidate always lands on the same cache key.
-    /// The engine's chains use independent repair throughout (see
-    /// [`AssessmentEngine::block`]).
-    fn resolved_backend(&self, config: &Configuration) -> AvailBackend {
-        select_backend(
-            self.options.avail_backend,
-            RepairPolicy::Independent,
-            StateSpace::new(config).len(),
-            self.options.epsilon,
-        )
-    }
-
-    /// The availability solve for `config` under the resolved `backend`,
-    /// from the solution cache. On a miss, assembles the chosen model
-    /// from cached per-type blocks: dense LU is the same float pipeline
-    /// as [`AvailabilityModel::new`] (bit-identical vector); sparse runs
-    /// tight Gauss–Seidel sweeps; product computes the closed-form
-    /// marginals only. The cache key carries the backend, so solutions
-    /// produced by different backends never alias.
-    fn availability_solution(
+    /// The availability solve for `config`: the product-form model over
+    /// the per-type marginals of its cached birth–death blocks. Only new
+    /// `(type, Y_x)` pairs cost a tabulation; everything else is `O(k)`.
+    fn availability(
         &self,
         config: &Configuration,
-        backend: AvailBackend,
         counters: &CacheCounters,
-    ) -> Result<Arc<AvailabilitySolution>, ConfigError> {
-        debug_assert_ne!(backend, AvailBackend::Auto, "resolve before solving");
-        let key = (config.as_slice().to_vec(), backend);
-        if let Some(hit) = lock_cache(&self.solutions).get(&key) {
-            self.record_hits(1);
-            counters.solution_hit.set(Some(true));
-            return Ok(hit.clone());
-        }
-        self.record_misses(1);
-        counters.solution_hit.set(Some(false));
-        // Failpoint `engine.solution-cache-fill`: error injection fails
-        // the availability solve for this candidate (non-strict searches
-        // quarantine it); NaN injection poisons the solved availability,
-        // which the non-finite guard in `assess` then rejects.
+    ) -> Result<AvailabilitySolve, ConfigError> {
+        let fills_cache = {
+            let cache = lock_cache(&self.blocks);
+            config
+                .as_slice()
+                .iter()
+                .enumerate()
+                .any(|(j, &y)| !cache.contains_key(&(j, y)))
+        };
+        // Failpoint `engine.solution-cache-fill`, reached by every
+        // availability solve that has to fill the block cache: error
+        // injection fails the solve for this candidate before anything
+        // is cached (non-strict searches quarantine it); NaN injection
+        // poisons the solved availability, which the non-finite guard
+        // in `assess` then rejects.
         let mut poison_availability = false;
-        match wfms_fault::point!("engine.solution-cache-fill") {
-            Some(wfms_fault::Injection::Error) => {
-                return Err(ConfigError::Avail(wfms_avail::AvailError::Chain(
-                    wfms_markov::error::ChainError::Iterative(
-                        wfms_markov::linalg::IterativeError::NotConverged {
-                            iterations: 0,
-                            last_residual: f64::INFINITY,
-                        },
-                    ),
-                )));
+        if fills_cache {
+            match wfms_fault::point!("engine.solution-cache-fill") {
+                Some(wfms_fault::Injection::Error) => {
+                    return Err(ConfigError::Avail(wfms_avail::AvailError::Chain(
+                        wfms_markov::error::ChainError::Iterative(
+                            wfms_markov::linalg::IterativeError::NotConverged {
+                                iterations: 0,
+                                last_residual: f64::INFINITY,
+                            },
+                        ),
+                    )));
+                }
+                Some(wfms_fault::Injection::Nan) => poison_availability = true,
+                None => {}
             }
-            Some(wfms_fault::Injection::Nan) => poison_availability = true,
-            None => {}
         }
         let mut blocks = Vec::with_capacity(config.k());
         for (j, &y) in config.as_slice().iter().enumerate() {
             blocks.push(self.block(j, y, counters)?);
         }
-        let solution = match backend {
-            AvailBackend::Auto | AvailBackend::Dense => {
-                let model =
-                    AvailabilityModel::from_blocks(config, &blocks, RepairPolicy::Independent)?;
-                let pi = model.steady_state(SteadyStateMethod::Lu)?;
-                let availability = model.availability(&pi)?;
-                AvailabilitySolution::Explicit {
-                    pi,
-                    availability,
-                    fallbacks: 0,
-                }
-            }
-            AvailBackend::Sparse => {
-                let model = SparseAvailabilityModel::from_blocks(
-                    config,
-                    &blocks,
-                    RepairPolicy::Independent,
-                )?;
-                let solved = model
-                    .steady_state(GaussSeidelOptions {
-                        tolerance: self.options.solver_tolerance,
-                        max_iterations: self.options.solver_max_iterations,
-                        relaxation: 1.0,
-                    })
-                    .map_err(ConfigError::from)
-                    .and_then(|pi| {
-                        let availability = model.availability(&pi)?;
-                        Ok((pi, availability))
-                    });
-                let finite = |sol: &(Vec<f64>, f64)| {
-                    sol.1.is_finite() && sol.0.iter().all(|p| p.is_finite())
-                };
-                match solved {
-                    Ok(sol) if finite(&sol) => AvailabilitySolution::Explicit {
-                        pi: sol.0,
-                        availability: sol.1,
-                        fallbacks: 0,
-                    },
-                    other => {
-                        if self.options.strict {
-                            return match other {
-                                Err(e) => Err(e),
-                                Ok(_) => Err(ConfigError::NonFiniteAssessment {
-                                    replicas: config.as_slice().to_vec(),
-                                    what: "sparse stationary vector",
-                                }),
-                            };
-                        }
-                        // Graceful degradation: escalate the failed (or
-                        // non-finite) Gauss–Seidel solve to a dense LU
-                        // factorization of the same chain.
-                        wfms_obs::counter("solver.fallback", 1);
-                        let mut span = wfms_obs::span!("solver-fallback");
-                        span.record("from", "sparse-gauss-seidel");
-                        let model = AvailabilityModel::from_blocks(
-                            config,
-                            &blocks,
-                            RepairPolicy::Independent,
-                        )?;
-                        let pi = model.steady_state(SteadyStateMethod::Lu)?;
-                        let availability = model.availability(&pi)?;
-                        AvailabilitySolution::Explicit {
-                            pi,
-                            availability,
-                            fallbacks: 1,
-                        }
-                    }
-                }
-            }
-            AvailBackend::Product => {
-                AvailabilitySolution::Product(self.product_model(config, &blocks)?)
-            }
+        let model = ProductFormModel::from_blocks(config, &blocks)?;
+        let availability = if poison_availability {
+            f64::NAN
+        } else {
+            model.availability()
         };
-        let mut solution = solution;
-        if poison_availability {
-            if let AvailabilitySolution::Explicit { availability, .. } = &mut solution {
-                *availability = f64::NAN;
-            }
-        }
-        let solution = Arc::new(solution);
-        lock_cache(&self.solutions).insert(key, solution.clone());
-        Ok(solution)
+        Ok(AvailabilitySolve {
+            model,
+            availability,
+        })
     }
 
-    /// The product-form model for `config`: a one-coordinate *delta*
-    /// patch of a cached neighbour when possible
-    /// ([`SearchOptions::incremental`], the default), a full
-    /// [`ProductFormModel::from_blocks`] build otherwise. The patch
-    /// clones the neighbour's marginals and replaces only the moved
-    /// type's with the fresh tabulation from its (already cached)
-    /// birth–death block — bit-identical to the from-scratch build,
-    /// because every marginal is a pure function of
-    /// `(type, replicas, policy)` and both constructors store the same
-    /// vectors (see [`ProductFormModel::from_marginals`]).
-    fn product_model(
-        &self,
-        config: &Configuration,
-        blocks: &[Arc<BirthDeathBlock>],
-    ) -> Result<ProductFormModel, ConfigError> {
-        if self.options.incremental {
-            if let Some((moved, mut marginals)) = self.neighbour_marginals(config) {
-                wfms_obs::counter("engine.delta-assess", 1);
-                let mut span = wfms_obs::span!("delta-assess");
-                span.record("candidate", format!("{config}"));
-                span.record("moved-type", moved as u64);
-                marginals[moved] = blocks[moved].marginal_distribution();
-                return Ok(ProductFormModel::from_marginals(config, marginals)?);
-            }
-        }
-        Ok(ProductFormModel::from_blocks(config, blocks)?)
-    }
-
-    /// Probes the solution cache for a one-coordinate product-form
-    /// neighbour `Y ∓ e_x` of `config`, returning the moved coordinate
-    /// and a clone of the neighbour's marginals. Any cached neighbour
-    /// yields the same patched floats, so the probe order is
-    /// immaterial; probes are not counted as cache traffic, keeping the
-    /// journal's hit/miss provenance identical to a non-incremental
-    /// run (they do refresh LRU recency, which under capacity pressure
-    /// may legitimately change *which* entries stay resident).
-    fn neighbour_marginals(&self, config: &Configuration) -> Option<(usize, Vec<Vec<f64>>)> {
-        let slice = config.as_slice();
-        let mut cache = lock_cache(&self.solutions);
-        let mut key = (slice.to_vec(), AvailBackend::Product);
-        for (x, &incumbent_y) in slice.iter().enumerate() {
-            for delta in [-1isize, 1] {
-                let y = incumbent_y as isize + delta;
-                if y < 1 {
-                    continue;
-                }
-                key.0[x] = y as usize;
-                let hit = cache.get(&key);
-                key.0[x] = incumbent_y;
-                if let Some(hit) = hit {
-                    if let AvailabilitySolution::Product(model) = &*hit {
-                        return Some((x, model.marginals().to_vec()));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Ensures every state of `space` has a cached [`StateEvaluation`],
-    /// computing the missing ones on the worker pool (they are
-    /// independent). Misses are collected — and, on error, reported — in
-    /// encoding order, so error precedence matches the serial path.
+    /// Every state's evaluation for the `ε = 0` fold, in encoding order:
+    /// hits are read under one lock, and the missing states are computed
+    /// on the worker pool (they are independent), cached, and reported —
+    /// on error — in encoding order, so error precedence matches the
+    /// serial path.
     ///
-    /// Under [`SearchOptions::strict`] the first failed evaluation (in
-    /// encoding order) aborts the fill; otherwise failed states are
-    /// simply left uncached and the assessment's fold charges them with
-    /// their pessimistic caps.
-    fn populate_state_cache(
+    /// A `None` entry is a state without an evaluation: its kernel
+    /// failed (non-strict), or the batch fill itself failed, in which
+    /// case the returned fill error says why. Under
+    /// [`SearchOptions::strict`] the first failed evaluation (in encoding
+    /// order) aborts instead.
+    fn state_evaluations(
         &self,
         space: &StateSpace,
         counters: &CacheCounters,
-    ) -> Result<(), PerformabilityError> {
-        let missing: Vec<Vec<usize>> = {
-            let cache = lock_cache(&self.states);
-            space
-                .iter()
-                .map(|(_, x)| x)
-                .filter(|x| !cache.contains_key(x))
-                .collect()
-        };
-        self.record_hits((space.len() - missing.len()) as u64);
+    ) -> Result<StateEvaluations, PerformabilityError> {
+        let mut evaluations = Vec::with_capacity(space.len());
+        let mut missing = Vec::new();
+        {
+            let mut cache = lock_cache(&self.states);
+            for (idx, x) in space.iter() {
+                let hit = cache.get(&x);
+                if hit.is_none() {
+                    missing.push((idx, x));
+                }
+                evaluations.push(hit);
+            }
+        }
+        let hits = (space.len() - missing.len()) as u64;
+        self.record_hits(hits);
         self.record_misses(missing.len() as u64);
-        counters
-            .state_hits
-            .set(counters.state_hits.get() + (space.len() - missing.len()) as u64);
+        counters.state_hits.set(counters.state_hits.get() + hits);
         counters
             .state_misses
             .set(counters.state_misses.get() + missing.len() as u64);
         if missing.is_empty() {
-            return Ok(());
+            return Ok((evaluations, None));
         }
         // Failpoint `engine.state-cache-fill`: error injection abandons
-        // the batched fill (strict mode fails the assessment; otherwise
-        // states are computed inline, uncached); NaN injection poisons
+        // the batched fill (the caller fails a strict assessment and
+        // charges the unfilled states otherwise); NaN injection poisons
         // the first filled evaluation.
         let mut poison_first = false;
         match wfms_fault::point!("engine.state-cache-fill") {
             Some(wfms_fault::Injection::Error) => {
-                if self.options.strict {
-                    return Err(PerformabilityError::FaultInjected {
-                        site: "engine.state-cache-fill",
-                    });
-                }
-                return Ok(());
+                let error = PerformabilityError::FaultInjected {
+                    site: "engine.state-cache-fill",
+                };
+                return Ok((evaluations, Some(error)));
             }
             Some(wfms_fault::Injection::Nan) => poison_first = true,
             None => {}
         }
-        let evaluations: Vec<Result<StateEvaluation, PerformabilityError>> =
+        let evaluate = |(_, x): &(usize, Vec<usize>)| evaluate_state(&self.load, &self.registry, x);
+        let computed: Vec<Result<StateEvaluation, PerformabilityError>> =
             if self.jobs() > 1 && missing.len() > 1 {
-                self.pool.install(|| {
-                    missing
-                        .par_iter()
-                        .map(|x| evaluate_state(&self.load, &self.registry, x))
-                        .collect()
-                })
+                self.pool
+                    .install(|| missing.par_iter().map(evaluate).collect())
             } else {
-                missing
-                    .iter()
-                    .map(|x| evaluate_state(&self.load, &self.registry, x))
-                    .collect()
+                missing.iter().map(evaluate).collect()
             };
         let mut cache = lock_cache(&self.states);
-        for (x, evaluation) in missing.into_iter().zip(evaluations) {
+        for ((idx, x), evaluation) in missing.into_iter().zip(computed) {
             let mut evaluation = match evaluation {
                 Ok(evaluation) => evaluation,
                 Err(e) if self.options.strict => return Err(e),
-                // Non-strict: leave the state uncached; the fold's
-                // degradation wrapper charges it when it is revisited.
+                // Non-strict: no entry; the fold's degradation wrapper
+                // retries the kernel and charges the state if it fails.
                 Err(_) => continue,
             };
             if poison_first {
                 poison_first_stable(&mut evaluation);
                 poison_first = false;
             }
-            cache.insert(x, Arc::new(evaluation));
+            let evaluation = Arc::new(evaluation);
+            cache.insert(x, evaluation.clone());
+            evaluations[idx] = Some(evaluation);
         }
-        Ok(())
+        Ok((evaluations, None))
     }
 
-    /// One state's evaluation: from the cache, or computed inline when
-    /// the cache is at capacity.
-    fn state_evaluation(
-        &self,
-        state: &[usize],
-    ) -> Result<Arc<StateEvaluation>, PerformabilityError> {
-        if let Some(hit) = lock_cache(&self.states).get(state) {
-            return Ok(hit.clone());
-        }
-        evaluate_state(&self.load, &self.registry, state).map(Arc::new)
-    }
-
-    /// As [`AssessmentEngine::state_evaluation`], but inserting misses
+    /// One state's evaluation through the shared memo, inserting misses
     /// into the cache (capacity permitting) and counting hits/misses —
     /// the kernel of the ε-truncated path, which deliberately does *not*
-    /// pre-populate the whole state space ([`populate_state_cache`]
-    /// would defeat the pruning) yet still shares every evaluated state
-    /// with all other candidates.
+    /// evaluate the whole state space ([`state_evaluations`] would
+    /// defeat the pruning) yet still shares every evaluated state with
+    /// all other candidates.
     ///
-    /// [`populate_state_cache`]: AssessmentEngine::populate_state_cache
+    /// [`state_evaluations`]: AssessmentEngine::state_evaluations
     fn state_evaluation_memo(
         &self,
         state: &[usize],
@@ -814,8 +600,11 @@ impl AssessmentEngine {
     // -- assessment -------------------------------------------------------
 
     /// Assesses one candidate configuration against the engine's goals,
-    /// through the caches. Field-for-field identical to
-    /// [`crate::assess::assess`] (see the module docs).
+    /// through the caches.
+    ///
+    /// A configuration whose full-strength state cannot serve the load
+    /// is not an error — it simply fails the waiting-time goal
+    /// (`expected_waiting = None`; see [`Assessment::expected_waiting`]).
     ///
     /// # Errors
     /// Model failures as [`ConfigError`]; goal violations are reported
@@ -831,36 +620,6 @@ impl AssessmentEngine {
         Ok(assessment)
     }
 
-    /// Assesses the one-coordinate move `Y → Y + e_x` from `incumbent`
-    /// — the engine's *delta* entry point. Under the product backend
-    /// with [`SearchOptions::incremental`] the incumbent's solution is
-    /// warmed first, so the grown candidate's availability solve
-    /// reduces to recomputing type `x`'s birth–death marginal and
-    /// patching it into the incumbent's (all other marginals and every
-    /// cached [`StateEvaluation`] are reused). The result is
-    /// field-for-field identical to [`assess`](Self::assess) of the
-    /// grown configuration — the delta path changes the work, never
-    /// the floats.
-    ///
-    /// # Errors
-    /// As [`assess`](Self::assess) of the grown configuration; an
-    /// incumbent whose availability cannot be solved is not itself an
-    /// error (the grown candidate is then assessed from scratch).
-    pub fn assess_delta(
-        &self,
-        incumbent: &Configuration,
-        move_type: ServerTypeId,
-    ) -> Result<Assessment, ConfigError> {
-        if self.options.incremental && self.resolved_backend(incumbent) == AvailBackend::Product {
-            let scratch = CacheCounters::default();
-            let _ = self.availability_solution(incumbent, AvailBackend::Product, &scratch);
-        }
-        let grown = incumbent.with_added_replica(move_type)?;
-        let (assessment, provenance) = self.assess_with_provenance(&grown)?;
-        journal::record_assessed("assess", &assessment, &self.goals, provenance, None);
-        Ok(assessment)
-    }
-
     /// As [`assess`](Self::assess), additionally reporting where each
     /// cache layer's answers came from — and emitting no journal event,
     /// so searches can journal the decision (not the computation).
@@ -872,14 +631,11 @@ impl AssessmentEngine {
         run_preflight(&self.registry, &self.load, Some(config.as_slice()))?;
         let mut obs_span = wfms_obs::span!("assess");
         obs_span.record("candidate", format!("{config}"));
-        let backend = self.resolved_backend(config);
-        let solution = self.availability_solution(config, backend, &counters)?;
-        let availability = solution.availability();
+        let AvailabilitySolve {
+            model,
+            availability,
+        } = self.availability(config, &counters)?;
         let downtime_minutes_per_year = (1.0 - availability) * MINUTES_PER_YEAR;
-        let solver_fallbacks = match &*solution {
-            AvailabilitySolution::Explicit { fallbacks, .. } => *fallbacks,
-            AvailabilitySolution::Product(_) => 0,
-        };
 
         // Graceful-degradation plumbing. The folds call the evaluation
         // closure immediately after pulling each `(state, π)` pair, so
@@ -932,54 +688,66 @@ impl AssessmentEngine {
             }))
         };
 
-        let perf = match &*solution {
-            AvailabilitySolution::Explicit { pi, .. } => {
-                // Exhaustive fold over the encoding order: bit-identical
-                // to the historical (pre-backend) path when dense.
-                let space = StateSpace::new(config);
-                self.populate_state_cache(&space, &counters).and_then(|()| {
-                    fold_states(
-                        space.iter().map(|(idx, x)| {
-                            current_probability.set(pi[idx]);
-                            (x, pi[idx])
-                        }),
-                        self.registry.len(),
-                        config.as_slice(),
-                        DegradedPolicy::Conditional,
-                        |state| match self.state_evaluation(state) {
-                            Ok(evaluation) => Ok(evaluation),
-                            Err(e) if !strict => pessimistic(state, e),
-                            Err(e) => Err(e),
-                        },
-                    )
-                })
+        let perf = if self.options.epsilon > 0.0 {
+            // ε-truncated fold over the descending-π enumeration; only
+            // the visited states are ever evaluated (lazily, through the
+            // shared memo).
+            waiting_time_caps(&self.load, &self.registry, config.as_slice()).and_then(|caps| {
+                fold_states_truncated(
+                    model.enumerate_descending().map(|(x, p)| {
+                        current_probability.set(p);
+                        (x, p)
+                    }),
+                    self.registry.len(),
+                    config.as_slice(),
+                    DegradedPolicy::Conditional,
+                    &TruncationOptions {
+                        epsilon: self.options.epsilon,
+                        total_states: model.state_space().len(),
+                        waiting_caps: &caps,
+                    },
+                    |state| match self.state_evaluation_memo(state, &counters) {
+                        Ok(evaluation) => Ok(evaluation),
+                        Err(e) if !strict => pessimistic(state, e),
+                        Err(e) => Err(e),
+                    },
+                )
+            })
+        } else {
+            // Every state is visited, so fold the materialized π in
+            // encoding order: no heap, and the missing states fill the
+            // cache in one batch on the worker pool.
+            let pi = model.steady_state()?;
+            let space = model.state_space();
+            let (evaluations, fill_error) = self.state_evaluations(space, &counters)?;
+            if let (Some(e), true) = (&fill_error, strict) {
+                return Err(e.clone().into());
             }
-            AvailabilitySolution::Product(model) => {
-                // ε-truncated fold over the descending-π enumeration;
-                // only the visited states are ever evaluated (lazily,
-                // through the shared memo).
-                waiting_time_caps(&self.load, &self.registry, config.as_slice()).and_then(|caps| {
-                    fold_states_truncated(
-                        model.enumerate_descending().map(|(x, p)| {
-                            current_probability.set(p);
-                            (x, p)
-                        }),
-                        self.registry.len(),
-                        config.as_slice(),
-                        DegradedPolicy::Conditional,
-                        &TruncationOptions {
-                            epsilon: self.options.epsilon,
-                            total_states: model.state_space().len(),
-                            waiting_caps: &caps,
-                        },
-                        |state| match self.state_evaluation_memo(state, &counters) {
-                            Ok(evaluation) => Ok(evaluation),
-                            Err(e) if !strict => pessimistic(state, e),
-                            Err(e) => Err(e),
-                        },
-                    )
-                })
-            }
+            let current_index = std::cell::Cell::new(0);
+            fold_states(
+                space.iter().map(|(idx, x)| {
+                    current_index.set(idx);
+                    current_probability.set(pi[idx]);
+                    (x, pi[idx])
+                }),
+                self.registry.len(),
+                config.as_slice(),
+                DegradedPolicy::Conditional,
+                |state| {
+                    let evaluation = match (&evaluations[current_index.get()], &fill_error) {
+                        (Some(evaluation), _) => return Ok(evaluation.clone()),
+                        (None, Some(e)) => Err(e.clone()),
+                        (None, None) => {
+                            evaluate_state(&self.load, &self.registry, state).map(Arc::new)
+                        }
+                    };
+                    match evaluation {
+                        Ok(evaluation) => Ok(evaluation),
+                        Err(e) if !strict => pessimistic(state, e),
+                        Err(e) => Err(e),
+                    }
+                },
+            )
         };
         let perf = match perf {
             Ok(report) => Some(report),
@@ -1022,9 +790,9 @@ impl AssessmentEngine {
         }
         wfms_obs::counter("config.assessments", 1);
 
-        // Non-finite guard: a NaN/∞ metric that survived every fallback
-        // means the candidate's numbers cannot be trusted. Searches
-        // quarantine it (the error is candidate-local).
+        // Non-finite guard: a NaN/∞ metric means the candidate's numbers
+        // cannot be trusted. Searches quarantine it (the error is
+        // candidate-local).
         if !availability.is_finite() {
             return Err(ConfigError::NonFiniteAssessment {
                 replicas: config.as_slice().to_vec(),
@@ -1041,13 +809,11 @@ impl AssessmentEngine {
         }
 
         let failed = degraded.take();
-        let degradation = if failed.is_empty() && solver_fallbacks == 0 {
+        let degradation = if failed.is_empty() {
             None
         } else {
             let failed_states = failed.len();
-            // fold, not sum: the empty f64 sum is -0.0, which would
-            // render as "-0.000e0" in fallback-only reports.
-            let charged_mass = failed.iter().map(|r| r.probability).fold(0.0, |a, p| a + p);
+            let charged_mass = failed.iter().map(|r| r.probability).sum();
             let mut details = failed;
             details.truncate(DEGRADATION_DETAIL_CAP);
             obs_span.record("degraded-states", failed_states as u64);
@@ -1055,7 +821,6 @@ impl AssessmentEngine {
             Some(DegradationReport {
                 failed_states,
                 charged_mass,
-                solver_fallbacks,
                 details,
             })
         };
@@ -1247,17 +1012,14 @@ impl AssessmentEngine {
     /// suppress exact work but never a winner.
     fn screen_step(&self, config: &Configuration) -> Option<ScreenedStep> {
         let opts = &self.options;
-        if opts.screen_epsilon <= 0.0 || self.resolved_backend(config) != AvailBackend::Product {
+        if opts.screen_epsilon <= 0.0 {
             return None;
         }
         let scratch = CacheCounters::default();
-        let solution = self
-            .availability_solution(config, AvailBackend::Product, &scratch)
-            .ok()?;
-        let AvailabilitySolution::Product(model) = &*solution else {
-            return None;
-        };
-        let availability = model.availability();
+        let AvailabilitySolve {
+            model,
+            availability,
+        } = self.availability(config, &scratch).ok()?;
         if !availability.is_finite() {
             return None; // fault-poisoned: the exact path's guard decides
         }
@@ -1282,7 +1044,7 @@ impl AssessmentEngine {
             });
         }
         let caps = waiting_time_caps(&self.load, &self.registry, config.as_slice()).ok()?;
-        match self.screen_waiting(config, model, &caps, &scratch) {
+        match self.screen_waiting(config, &model, &caps, &scratch) {
             WaitingScreen::ProvenViolation {
                 growth: Some(growth),
                 w_max,
@@ -1362,18 +1124,14 @@ impl AssessmentEngine {
         let Ok(config) = Configuration::new(&self.registry, replicas.to_vec()) else {
             return false; // the exact path owns the error report
         };
-        if self.resolved_backend(&config) != AvailBackend::Product {
-            return false;
-        }
         let scratch = CacheCounters::default();
-        let Ok(solution) = self.availability_solution(&config, AvailBackend::Product, &scratch)
+        let Ok(AvailabilitySolve {
+            model,
+            availability,
+        }) = self.availability(&config, &scratch)
         else {
             return false;
         };
-        let AvailabilitySolution::Product(model) = &*solution else {
-            return false;
-        };
-        let availability = model.availability();
         if !availability.is_finite() {
             return false;
         }
@@ -1389,7 +1147,7 @@ impl AssessmentEngine {
             return false;
         };
         matches!(
-            self.screen_waiting(&config, model, &caps, &scratch),
+            self.screen_waiting(&config, &model, &caps, &scratch),
             WaitingScreen::ProvenViolation { .. }
         )
     }
@@ -1492,13 +1250,16 @@ impl AssessmentEngine {
 
     // -- searches ---------------------------------------------------------
 
-    /// The greedy minimum-cost search of Sec. 7.2 (see
-    /// [`crate::search::greedy_search`]), assessed through the caches.
-    /// The candidate chain is inherently sequential; the per-state
-    /// kernel of each assessment still runs on the pool.
+    /// The greedy minimum-cost search of Sec. 7.2, starting from the
+    /// unreplicated configuration `Y = (1, …, 1)` and assessed through
+    /// the caches. The candidate chain is inherently sequential; the
+    /// per-state kernel of each assessment still runs on the pool.
     ///
     /// # Errors
-    /// As [`crate::search::greedy_search`].
+    /// * [`ConfigError::LoadUnsustainable`] when some server type needs
+    ///   more replicas for stability than the budget can ever grant.
+    /// * [`ConfigError::GoalsUnreachable`] when the budget runs out.
+    /// * Model failures as [`ConfigError`].
     pub fn greedy(&self) -> Result<SearchResult, ConfigError> {
         let opts = &self.options;
         // Fast infeasibility check: stability alone may exceed the budget.
@@ -1595,12 +1356,15 @@ impl AssessmentEngine {
         }
     }
 
-    /// The exhaustive minimum-cost baseline (see
-    /// [`crate::search::exhaustive_search`]): enumerates each cost
-    /// level's frontier and evaluates it in parallel batches.
+    /// The exhaustive minimum-cost baseline: enumerates replication
+    /// vectors in order of increasing total cost and returns the first
+    /// (hence cost-optimal) configuration meeting the goals, evaluating
+    /// each cost level's frontier in parallel batches. Exponential in
+    /// the number of server types — use it to validate the greedy
+    /// heuristic on small systems (the EXP-C1 experiment).
     ///
     /// # Errors
-    /// As [`crate::search::exhaustive_search`].
+    /// As [`greedy`](Self::greedy).
     pub fn exhaustive(&self) -> Result<SearchResult, ConfigError> {
         let opts = &self.options;
         let k = self.registry.len();
@@ -1639,13 +1403,15 @@ impl AssessmentEngine {
         })
     }
 
-    /// The branch-and-bound minimum-cost search (see
-    /// [`crate::search::branch_and_bound_search`]): goal-derived lower
-    /// bounds prune the frontier, which is then evaluated in parallel
-    /// batches.
+    /// The branch-and-bound minimum-cost search — the other
+    /// "full-fledged algorithm for mathematical optimization" Sec. 7.2
+    /// names. Provably cost-optimal like [`exhaustive`](Self::exhaustive),
+    /// but the per-type [`goal_lower_bounds`] prune the frontier:
+    /// candidates below any bound are never assessed. The rest is
+    /// evaluated in parallel batches.
     ///
     /// # Errors
-    /// As [`crate::search::branch_and_bound_search`].
+    /// As [`exhaustive`](Self::exhaustive).
     pub fn branch_and_bound(&self) -> Result<SearchResult, ConfigError> {
         let opts = &self.options;
         let k = self.registry.len();
@@ -1697,13 +1463,15 @@ impl AssessmentEngine {
         })
     }
 
-    /// The simulated-annealing search (see
-    /// [`crate::annealing::annealing_search`]): the Metropolis walk is
-    /// sequential by construction, but revisited candidates hit the
-    /// solution cache and every assessment shares the state cache.
+    /// The simulated-annealing search: a Metropolis walk over
+    /// replication vectors with a penalized-cost objective (see
+    /// [`crate::annealing`]). The walk is sequential by construction,
+    /// but every assessment shares the block and state caches.
     ///
     /// # Errors
-    /// As [`crate::annealing::annealing_search`].
+    /// * [`ConfigError::GoalsUnreachable`] when no feasible
+    ///   configuration was visited within the step budget.
+    /// * Model failures as [`ConfigError`].
     pub fn annealing(&self, opts: &AnnealingOptions) -> Result<SearchResult, ConfigError> {
         crate::annealing::annealing_walk(self, opts)
     }
@@ -1712,8 +1480,6 @@ impl AssessmentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assess::assess;
-    use crate::search::{exhaustive_search, greedy_search};
     use proptest::prelude::*;
     use wfms_statechart::paper_section52_registry;
 
@@ -1730,22 +1496,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_assessment_is_bit_identical_to_free_function() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let engine = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
-        for y in [vec![1, 1, 1], vec![2, 2, 2], vec![2, 1, 3], vec![3, 3, 3]] {
-            let config = Configuration::new(&reg, y).unwrap();
-            let direct = assess(&reg, &config, &load, &goals).unwrap();
-            let cold = engine.assess(&config).unwrap();
-            let warm = engine.assess(&config).unwrap();
-            assert_eq!(direct, cold);
-            assert_eq!(direct, warm);
-        }
-    }
-
-    #[test]
     fn caches_fill_and_hit_across_candidates() {
         let reg = paper_section52_registry();
         let load = load_at(0.5, &reg);
@@ -1755,7 +1505,6 @@ mod tests {
         engine.assess(&a).unwrap();
         let after_first = engine.cache_stats();
         assert_eq!(after_first.state_entries, 27);
-        assert_eq!(after_first.solution_entries, 1);
         assert_eq!(after_first.block_entries, 3);
         assert_eq!(after_first.hits, 0);
 
@@ -1765,29 +1514,28 @@ mod tests {
         engine.assess(&b).unwrap();
         let after_second = engine.cache_stats();
         assert_eq!(after_second.state_entries, 36);
-        assert_eq!(after_second.solution_entries, 2);
         assert_eq!(after_second.block_entries, 4);
         assert_eq!(after_second.hits, after_first.hits + 27 + 2);
 
-        // Re-assessing is a pure cache replay: one solution hit plus all
+        // Re-assessing is a pure cache replay: all three blocks plus all
         // 36 states.
         engine.assess(&b).unwrap();
         let warm = engine.cache_stats();
-        assert_eq!(warm.hits, after_second.hits + 1 + 36);
+        assert_eq!(warm.hits, after_second.hits + 3 + 36);
         assert_eq!(warm.state_entries, 36);
     }
 
     #[test]
-    fn searches_match_free_functions_bitwise() {
+    fn warm_searches_replay_cold_searches_bitwise() {
         let reg = paper_section52_registry();
         let load = load_at(0.5, &reg);
         let goals = Goals::new(0.005, 0.999).unwrap();
         let opts = SearchOptions::default();
         let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        let free_greedy = greedy_search(&reg, &load, &goals, &opts).unwrap();
-        assert_eq!(engine.greedy().unwrap(), free_greedy);
-        let free_exhaustive = exhaustive_search(&reg, &load, &goals, &opts).unwrap();
-        assert_eq!(engine.exhaustive().unwrap(), free_exhaustive);
+        let cold_greedy = engine.greedy().unwrap();
+        let cold_exhaustive = engine.exhaustive().unwrap();
+        assert_eq!(engine.greedy().unwrap(), cold_greedy);
+        assert_eq!(engine.exhaustive().unwrap(), cold_exhaustive);
     }
 
     #[test]
@@ -1813,10 +1561,7 @@ mod tests {
         let reg = paper_section52_registry();
         let load = load_at(0.8, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
-        let uncached_opts = SearchOptions::builder()
-            .state_cache_capacity(0)
-            .solution_cache_capacity(0)
-            .build();
+        let uncached_opts = SearchOptions::builder().state_cache_capacity(0).build();
         let uncached = AssessmentEngine::new(&reg, &load, &goals, uncached_opts).unwrap();
         let cached = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
         let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
@@ -1825,198 +1570,47 @@ mod tests {
             cached.assess(&config).unwrap()
         );
         assert_eq!(uncached.cache_stats().state_entries, 0);
-        assert_eq!(uncached.cache_stats().solution_entries, 0);
     }
 
     #[test]
-    fn zero_epsilon_auto_is_bit_identical_to_default() {
+    fn tiny_epsilon_tracks_the_exhaustive_fold() {
         let reg = paper_section52_registry();
         let load = load_at(0.8, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
-        let default_engine =
-            AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
-        let explicit_opts = SearchOptions::builder()
-            .epsilon(0.0)
-            .avail_backend(AvailBackend::Auto)
-            .build();
-        let explicit_engine = AssessmentEngine::new(&reg, &load, &goals, explicit_opts).unwrap();
-        for y in [vec![1, 1, 1], vec![2, 2, 2], vec![2, 1, 3]] {
-            let config = Configuration::new(&reg, y).unwrap();
-            assert_eq!(
-                default_engine.assess(&config).unwrap(),
-                explicit_engine.assess(&config).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn product_backend_with_tiny_epsilon_tracks_the_dense_answer() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let dense = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
-        let opts = SearchOptions::builder()
-            .epsilon(1e-9)
-            .avail_backend(AvailBackend::Product)
-            .build();
-        let product = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
+        let exact = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
+        let opts = SearchOptions::builder().epsilon(1e-9).build();
+        let truncated = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
         for y in [vec![2, 2, 2], vec![3, 2, 4]] {
             let config = Configuration::new(&reg, y).unwrap();
-            let d = dense.assess(&config).unwrap();
-            let p = product.assess(&config).unwrap();
-            // Availability agrees to LU round-off; waiting times within the
-            // reported truncation bound plus solver slack.
-            assert!((d.availability - p.availability).abs() < 1e-12);
-            let t = p.truncation.expect("product path reports truncation");
-            assert!(t.covered_mass >= 1.0 - 1e-9);
-            let (dw, pw) = (d.expected_waiting.unwrap(), p.expected_waiting.unwrap());
-            for (x, (a, b)) in dw.iter().zip(&pw).enumerate() {
+            let e = exact.assess(&config).unwrap();
+            let t = truncated.assess(&config).unwrap();
+            // Availability is the same closed-form product on both paths;
+            // waiting times agree within the reported truncation bound.
+            assert_eq!(e.availability, t.availability);
+            let report = t.truncation.expect("ε > 0 reports truncation");
+            assert!(report.covered_mass >= 1.0 - 1e-9);
+            let (ew, tw) = (e.expected_waiting.unwrap(), t.expected_waiting.unwrap());
+            for (x, (a, b)) in ew.iter().zip(&tw).enumerate() {
                 assert!(
-                    (a - b).abs() <= t.waiting_error_bounds[x] + 1e-9,
-                    "type {x}: dense {a} vs product {b}, bound {}",
-                    t.waiting_error_bounds[x]
+                    (a - b).abs() <= report.waiting_error_bounds[x] + 1e-12 * a.abs(),
+                    "type {x}: exhaustive {a} vs truncated {b}, bound {}",
+                    report.waiting_error_bounds[x]
                 );
             }
-            assert!(d.truncation.is_none());
+            assert!(e.truncation.is_none());
         }
     }
 
     #[test]
-    fn product_backend_with_zero_epsilon_visits_every_state() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let opts = SearchOptions::builder()
-            .epsilon(0.0)
-            .avail_backend(AvailBackend::Product)
-            .build();
-        let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let a = engine.assess(&config).unwrap();
-        let t = a.truncation.expect("product path reports truncation");
-        assert_eq!(t.states_skipped, 0);
-        assert_eq!(t.skipped_mass, 0.0);
-        assert!(t.waiting_error_bounds.iter().all(|&b| b == 0.0));
-        // The conditional expectations match the dense fold to summation
-        // round-off (the state probabilities are float-identical; only the
-        // accumulation order differs between the two paths).
-        let dense = AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
-        let d = dense.assess(&config).unwrap();
-        let (dw, pw) = (
-            d.expected_waiting.unwrap(),
-            a.expected_waiting.clone().unwrap(),
-        );
-        for (a, b) in dw.iter().zip(&pw) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn sparse_backend_matches_dense_to_solver_tolerance() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let dense_opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Dense)
-            .build();
-        let sparse_opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Sparse)
-            .build();
-        let dense = AssessmentEngine::new(&reg, &load, &goals, dense_opts).unwrap();
-        let sparse = AssessmentEngine::new(&reg, &load, &goals, sparse_opts).unwrap();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let d = dense.assess(&config).unwrap();
-        let s = sparse.assess(&config).unwrap();
-        assert!((d.availability - s.availability).abs() < 1e-9);
-        assert!((d.max_expected_waiting.unwrap() - s.max_expected_waiting.unwrap()).abs() < 1e-9);
-        assert!(s.truncation.is_none());
-    }
-
-    #[test]
-    fn product_backend_falls_back_to_sparse_for_single_repairman() {
-        // The engine always models independent repair, so the fallback is
-        // exercised through `select_backend` directly: an explicit Product
-        // request with a single-repairman chain resolves to Sparse.
-        use wfms_avail::{select_backend, RepairPolicy};
-        assert_eq!(
-            select_backend(
-                AvailBackend::Product,
-                RepairPolicy::SingleRepairmanPerType,
-                27,
-                1e-6
-            ),
-            AvailBackend::Sparse
-        );
-    }
-
-    #[test]
-    fn invalid_solver_options_are_rejected_at_construction() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        for bad in [0.0, -1e-9, f64::NAN, f64::NEG_INFINITY] {
-            let opts = SearchOptions::builder().solver_tolerance(bad).build();
-            match AssessmentEngine::new(&reg, &load, &goals, opts).unwrap_err() {
-                ConfigError::InvalidOption { what, .. } => assert_eq!(what, "solver tolerance"),
-                other => panic!("expected InvalidOption, got {other:?}"),
-            }
-        }
-        let opts = SearchOptions::builder().solver_max_iterations(0).build();
-        match AssessmentEngine::new(&reg, &load, &goals, opts).unwrap_err() {
-            ConfigError::InvalidOption { what, .. } => assert_eq!(what, "solver max-iterations"),
-            other => panic!("expected InvalidOption, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn starved_sparse_solver_degrades_to_dense_lu() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        // One Gauss–Seidel sweep cannot reach 1e-12: the solve reports
-        // NotConverged and the supervision layer escalates to dense LU.
-        let starved_opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Sparse)
-            .solver_max_iterations(1)
-            .build();
-        let starved = AssessmentEngine::new(&reg, &load, &goals, starved_opts).unwrap();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let a = starved.assess(&config).unwrap();
-        let d = a.degradation.clone().expect("fallback must be reported");
-        assert_eq!(d.solver_fallbacks, 1);
-        assert_eq!(d.failed_states, 0);
-        assert_eq!(d.charged_mass, 0.0);
-        assert!(d.details.is_empty());
-        // The fallback runs the exact dense pipeline: bit-identical
-        // numbers to a Dense-backend engine, modulo the report itself.
-        let dense_opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Dense)
-            .build();
-        let dense = AssessmentEngine::new(&reg, &load, &goals, dense_opts).unwrap();
-        let mut expected = dense.assess(&config).unwrap();
-        assert!(expected.degradation.is_none());
-        expected.degradation = a.degradation.clone();
-        assert_eq!(a, expected);
-        // Warm replays of the cached solution still carry the fallback.
-        let warm = starved.assess(&config).unwrap();
-        assert_eq!(warm.degradation.unwrap().solver_fallbacks, 1);
-    }
-
-    #[test]
-    fn strict_mode_propagates_sparse_solver_failure() {
-        let reg = paper_section52_registry();
-        let load = load_at(0.8, &reg);
-        let goals = Goals::new(0.01, 0.9999).unwrap();
-        let opts = SearchOptions::builder()
-            .avail_backend(AvailBackend::Sparse)
-            .solver_max_iterations(1)
-            .strict(true)
-            .build();
-        let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        let config = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-        let err = engine.assess(&config).unwrap_err();
-        assert!(matches!(err, ConfigError::Avail(_)), "got {err:?}");
-        assert!(err.is_candidate_local());
+    fn lru_evicts_the_least_recently_used_entry() {
+        let mut cache = LruCache::with_capacity(2);
+        cache.insert(1, Arc::new('a'));
+        cache.insert(2, Arc::new('b'));
+        assert!(cache.get(&1).is_some(), "a hit refreshes recency");
+        cache.insert(3, Arc::new('c'));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&2).is_none(), "the stale entry is evicted");
+        assert!(cache.get(&1).is_some() && cache.get(&3).is_some());
     }
 
     #[test]
@@ -2047,19 +1641,15 @@ mod tests {
     }
 
     #[test]
-    fn product_backend_prunes_states_under_loose_epsilon() {
+    fn loose_epsilon_prunes_states() {
         let reg = paper_section52_registry();
         let load = load_at(0.5, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
-        let opts = SearchOptions::builder()
-            .epsilon(1e-4)
-            .avail_backend(AvailBackend::Auto)
-            .build();
+        let opts = SearchOptions::builder().epsilon(1e-4).build();
         let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-        // Auto + independent repair + ε>0 resolves to the product backend.
         let config = Configuration::new(&reg, vec![3, 3, 3]).unwrap();
         let a = engine.assess(&config).unwrap();
-        let t = a.truncation.expect("auto resolves to product under ε>0");
+        let t = a.truncation.expect("ε > 0 reports truncation");
         assert!(t.states_skipped > 0, "loose ε must actually prune");
         assert!(t.covered_mass >= 1.0 - 1e-4);
         assert!(t.skipped_mass <= 1e-4 * 1.01);
@@ -2070,9 +1660,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The tentpole invariant: an engine-cached assessment equals the
-        /// uncached free-function assessment field-for-field, cold and
-        /// warm, for arbitrary loads and candidates.
+        /// The caching invariant: a cold, a warm, and an uncached engine
+        /// assess every candidate field-for-field identically, for
+        /// arbitrary loads and candidates.
         #[test]
         fn engine_cached_equals_uncached_assessment(
             rho in 0.05f64..2.5,
@@ -2082,7 +1672,11 @@ mod tests {
             let load = load_at(rho, &reg);
             let goals = Goals::new(0.01, 0.9999).unwrap();
             let config = Configuration::new(&reg, y).unwrap();
-            let direct = assess(&reg, &config, &load, &goals).unwrap();
+            let uncached_opts = SearchOptions::builder().state_cache_capacity(0).build();
+            let direct = AssessmentEngine::new(&reg, &load, &goals, uncached_opts)
+                .unwrap()
+                .assess(&config)
+                .unwrap();
             let engine =
                 AssessmentEngine::new(&reg, &load, &goals, SearchOptions::default()).unwrap();
             let cold = engine.assess(&config).unwrap();

@@ -8,7 +8,7 @@
 //! answers "why was each candidate accepted, rejected, or quarantined":
 //! per candidate it records the replica vector `Y`, cost, predicted
 //! availability and worst waiting time, the relative goal slacks, the
-//! engine-cache provenance of the assessment (state/block/solution hit
+//! engine-cache provenance of the assessment (state/block hit
 //! vs miss), the ε-truncation and degradation summaries, and the
 //! decision outcome with a stable reason name.
 //!
@@ -103,9 +103,9 @@ pub const EVENT_DECISION_SCREENED: &str = "decision-screened";
 pub const DECISION_CAP: usize = 262_144;
 
 /// Where each layer of one assessment came from: the engine's
-/// degraded-state cache, birth–death block cache, and
-/// availability-solution cache (see the engine module docs).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// degraded-state cache and birth–death block cache (see the engine
+/// module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheProvenance {
     /// Degraded states answered from the cache.
     pub state_hits: u64,
@@ -115,22 +115,6 @@ pub struct CacheProvenance {
     pub block_hits: u64,
     /// Birth–death blocks that had to be built.
     pub block_misses: u64,
-    /// `"hit"` when the availability solve replayed from the solution
-    /// cache, `"miss"` when it had to solve, `"unknown"` when no solve
-    /// was reached (quarantine before the solve).
-    pub solution: String,
-}
-
-impl Default for CacheProvenance {
-    fn default() -> Self {
-        CacheProvenance {
-            state_hits: 0,
-            state_misses: 0,
-            block_hits: 0,
-            block_misses: 0,
-            solution: "unknown".to_string(),
-        }
-    }
 }
 
 /// Relative slack of each configured goal: positive means satisfied
@@ -214,8 +198,6 @@ pub struct DegradationSummary {
     pub failed_states: usize,
     /// Probability mass of those states.
     pub charged_mass: f64,
-    /// Solver-ladder escalations behind the numbers.
-    pub solver_fallbacks: u32,
 }
 
 /// One journaled decision. See the module docs for the vocabulary and
@@ -341,7 +323,6 @@ fn degradation_summary(assessment: &Assessment) -> Option<DegradationSummary> {
     assessment.degradation.as_ref().map(|d| DegradationSummary {
         failed_states: d.failed_states,
         charged_mass: d.charged_mass,
-        solver_fallbacks: d.solver_fallbacks,
     })
 }
 

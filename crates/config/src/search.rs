@@ -18,12 +18,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use wfms_avail::AvailBackend;
 use wfms_perf::SystemLoad;
 use wfms_statechart::{ServerTypeId, ServerTypeRegistry};
 
 use crate::assess::Assessment;
-use crate::engine::AssessmentEngine;
 use crate::error::ConfigError;
 use crate::goals::Goals;
 
@@ -36,8 +34,8 @@ use crate::goals::Goals;
 /// assert_eq!(opts.jobs, 8);
 /// ```
 ///
-/// `Default` is equivalent to the pre-engine behaviour: a budget of 64
-/// servers, a single worker, and effectively unbounded caches.
+/// `Default` is a budget of 64 servers, a single worker, a 65,536-entry
+/// degraded-state cache, and the exhaustive (`ε = 0`) fold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SearchOptions {
     /// Maximum total number of servers (the cost budget). The search
@@ -46,61 +44,41 @@ pub struct SearchOptions {
     /// Worker threads for candidate and per-state evaluation: `0` =
     /// automatic (`RAYON_NUM_THREADS`, else available cores), `1` =
     /// serial. Results are bit-identical for every value (see
-    /// [`AssessmentEngine`]).
+    /// [`AssessmentEngine`](crate::AssessmentEngine)).
     pub jobs: usize,
     /// Maximum entries of the degraded-state cache (`X → w^X`); `0`
     /// disables it. Overflowing states are recomputed per assessment.
     pub state_cache_capacity: usize,
-    /// Maximum entries of the availability-solution cache (`Y → π`);
-    /// `0` disables it.
-    pub solution_cache_capacity: usize,
     /// Mass-truncation tolerance of the performability fold: with
-    /// `ε > 0` (and a factorizing repair policy) assessments use the
-    /// product-form backend and evaluate states in descending `π` order
-    /// only until the covered mass reaches `1 − ε`, reporting a sound
-    /// bound on the waiting-time error. `0.0` (the default) keeps the
-    /// exhaustive fold — bit-identical to the historical path.
+    /// `ε > 0` assessments evaluate states in descending `π` order only
+    /// until the covered mass reaches `1 − ε`, reporting a sound bound
+    /// on the waiting-time error. `0.0` (the default) folds every state.
     pub epsilon: f64,
-    /// Which availability solver evaluates each candidate's chain; see
-    /// [`AvailBackend`]. The default `Auto` resolves per candidate from
-    /// the policy, state-space size, and `epsilon`.
-    pub avail_backend: AvailBackend,
-    /// Convergence tolerance of the engine's iterative (Gauss–Seidel)
-    /// availability solves. Must be finite and positive; validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new). The
-    /// default `1e-12` makes the stationary vector interchangeable with
-    /// a direct solve.
+    /// Not read by the engine: availability is solved in closed product
+    /// form, with no iterative solve to bound. Kept, with the default
+    /// `1e-12`, because the repository benchmark (`perfbench/`) reads it
+    /// as the tolerance of its own flat-chain reference solves.
     #[serde(default = "default_solver_tolerance")]
     pub solver_tolerance: f64,
-    /// Sweep cap of the engine's iterative availability solves. Must be
-    /// positive; validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
+    /// Not read by the engine; kept beside
+    /// [`solver_tolerance`](Self::solver_tolerance) for the same reason.
     #[serde(default = "default_solver_max_iterations")]
     pub solver_max_iterations: usize,
-    /// Fail-fast mode: when `true`, any candidate-level solver or model
-    /// failure aborts the assessment or search immediately (the
-    /// historical behaviour). When `false` (the default), the engine
-    /// degrades gracefully: failed availability solves fall back to a
-    /// dense LU solve, failed degraded-state evaluations are charged
-    /// with their sound pessimistic waiting-time cap and recorded in
+    /// Fail-fast mode: when `true`, any candidate-level model failure
+    /// aborts the assessment or search immediately (the historical
+    /// behaviour). When `false` (the default), the engine degrades
+    /// gracefully: failed degraded-state evaluations are charged with
+    /// their sound pessimistic waiting-time cap and recorded in
     /// [`Assessment::degradation`](crate::Assessment), and searches
     /// quarantine irrecoverable candidates in
     /// [`SearchResult::quarantined`] instead of aborting.
     #[serde(default)]
     pub strict: bool,
-    /// Delta-aware assessment: when `true` (the default), a product-form
-    /// availability solve for a candidate one coordinate away from a
-    /// cached neighbour replaces only the moved type's marginal instead
-    /// of re-deriving all `k` — bit-identical by construction (see
-    /// `wfms_avail::ProductFormModel::from_marginals`), so results,
-    /// traces, and journals never depend on this flag.
-    #[serde(default = "default_incremental")]
-    pub incremental: bool,
-    /// Adaptive-ε screening tolerance: with `σ > 0` and the product
-    /// backend, searches first evaluate each candidate with a cheap
-    /// `ε = σ` fold and skip the exact assessment when the sound
-    /// truncation bounds *prove* the candidate violates a goal. `0.0`
-    /// (the default) disables screening. Screening never changes a
+    /// Adaptive-ε screening tolerance: with `σ > 0`, searches first
+    /// evaluate each candidate with a cheap `ε = σ` fold and skip the
+    /// exact assessment when the sound truncation bounds *prove* the
+    /// candidate violates a goal. `0.0` (the default) disables
+    /// screening. Screening never changes a
     /// winner or its assessment; greedy traces omit the proven-infeasible
     /// candidates (journaled as `reject-screened` instead), frontier
     /// searches keep the trace literally identical.
@@ -126,23 +104,16 @@ fn default_solver_max_iterations() -> usize {
     100_000
 }
 
-fn default_incremental() -> bool {
-    true
-}
-
 impl Default for SearchOptions {
     fn default() -> Self {
         SearchOptions {
             max_total_servers: 64,
             jobs: 1,
             state_cache_capacity: 65_536,
-            solution_cache_capacity: 4_096,
             epsilon: 0.0,
-            avail_backend: AvailBackend::Auto,
             solver_tolerance: default_solver_tolerance(),
             solver_max_iterations: default_solver_max_iterations(),
             strict: false,
-            incremental: default_incremental(),
             screen_epsilon: 0.0,
             rank_moves: false,
         }
@@ -186,15 +157,8 @@ impl SearchOptionsBuilder {
         self
     }
 
-    /// Caps the availability-solution cache (`0` disables it).
-    #[must_use]
-    pub fn solution_cache_capacity(mut self, entries: usize) -> Self {
-        self.opts.solution_cache_capacity = entries;
-        self
-    }
-
-    /// Sets the performability mass-truncation tolerance (`0.0` =
-    /// exhaustive, bit-identical to the historical path). Validated by
+    /// Sets the performability mass-truncation tolerance (`0.0` = fold
+    /// every state). Validated by
     /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
     #[must_use]
     pub fn epsilon(mut self, epsilon: f64) -> Self {
@@ -202,42 +166,10 @@ impl SearchOptionsBuilder {
         self
     }
 
-    /// Picks the availability solver backend.
-    #[must_use]
-    pub fn avail_backend(mut self, backend: AvailBackend) -> Self {
-        self.opts.avail_backend = backend;
-        self
-    }
-
-    /// Sets the iterative-solver convergence tolerance. Validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
-    #[must_use]
-    pub fn solver_tolerance(mut self, tolerance: f64) -> Self {
-        self.opts.solver_tolerance = tolerance;
-        self
-    }
-
-    /// Sets the iterative-solver sweep cap. Validated by
-    /// [`AssessmentEngine::new`](crate::AssessmentEngine::new).
-    #[must_use]
-    pub fn solver_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.opts.solver_max_iterations = max_iterations;
-        self
-    }
-
     /// Enables or disables fail-fast mode (see [`SearchOptions::strict`]).
     #[must_use]
     pub fn strict(mut self, strict: bool) -> Self {
         self.opts.strict = strict;
-        self
-    }
-
-    /// Enables or disables the delta-aware assessment path (see
-    /// [`SearchOptions::incremental`]). Results are bit-identical either
-    /// way; `false` exists for benchmarking and bisection.
-    #[must_use]
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.opts.incremental = incremental;
         self
     }
 
@@ -422,51 +354,8 @@ pub(crate) fn availability_critical_type(
     ServerTypeId(best)
 }
 
-/// The greedy minimum-cost search of Sec. 7.2, starting from the
-/// unreplicated configuration `Y = (1, …, 1)`.
-///
-/// Thin wrapper over [`AssessmentEngine::greedy`] on a fresh engine —
-/// **deprecated doc note**: callers assessing more than one scenario
-/// should construct an [`AssessmentEngine`] and reuse its caches.
-///
-/// # Errors
-/// * [`ConfigError::LoadUnsustainable`] when some server type needs more
-///   replicas for stability than the budget can ever grant.
-/// * [`ConfigError::GoalsUnreachable`] when the budget runs out.
-/// * Model failures as [`ConfigError`].
-pub fn greedy_search(
-    registry: &ServerTypeRegistry,
-    load: &SystemLoad,
-    goals: &Goals,
-    opts: &SearchOptions,
-) -> Result<SearchResult, ConfigError> {
-    AssessmentEngine::new(registry, load, goals, *opts)?.greedy()
-}
-
-/// Exhaustive minimum-cost baseline: enumerates replication vectors in
-/// order of increasing total cost and returns the first (hence
-/// cost-optimal) configuration meeting the goals. Exponential in the
-/// number of server types — use for validating the greedy heuristic on
-/// small systems (the EXP-C1 experiment).
-///
-/// Thin wrapper over [`AssessmentEngine::exhaustive`] on a fresh engine
-/// — **deprecated doc note**: construct an [`AssessmentEngine`] to reuse
-/// caches across searches (and set [`SearchOptions::jobs`] to evaluate
-/// the frontier in parallel).
-///
-/// # Errors
-/// As [`greedy_search`].
-pub fn exhaustive_search(
-    registry: &ServerTypeRegistry,
-    load: &SystemLoad,
-    goals: &Goals,
-    opts: &SearchOptions,
-) -> Result<SearchResult, ConfigError> {
-    AssessmentEngine::new(registry, load, goals, *opts)?.exhaustive()
-}
-
 /// Per-type replica lower bounds implied by the goals — the pruning core
-/// of [`branch_and_bound_search`]:
+/// of [`AssessmentEngine::branch_and_bound`](crate::AssessmentEngine::branch_and_bound):
 ///
 /// * a waiting-time goal requires stability, `Y_x > l_x · b_x`, and (the
 ///   per-type waiting time depending only on `Y_x`) enough replicas that
@@ -522,28 +411,6 @@ pub fn goal_lower_bounds(
         }
     }
     Ok(bounds)
-}
-
-/// Branch-and-bound minimum-cost search — the other "full-fledged
-/// algorithm for mathematical optimization" Sec. 7.2 names. Provably
-/// cost-optimal like [`exhaustive_search`], but prunes with the
-/// per-type [`goal_lower_bounds`]: candidates below any bound are never
-/// assessed, which typically cuts the evaluation count by an order of
-/// magnitude.
-///
-/// Thin wrapper over [`AssessmentEngine::branch_and_bound`] on a fresh
-/// engine — **deprecated doc note**: construct an [`AssessmentEngine`]
-/// to reuse caches across searches.
-///
-/// # Errors
-/// As [`exhaustive_search`].
-pub fn branch_and_bound_search(
-    registry: &ServerTypeRegistry,
-    load: &SystemLoad,
-    goals: &Goals,
-    opts: &SearchOptions,
-) -> Result<SearchResult, ConfigError> {
-    AssessmentEngine::new(registry, load, goals, *opts)?.branch_and_bound()
 }
 
 /// Enumerates all vectors of length `k` with `current[i] ≥ lower[i]`
@@ -604,7 +471,17 @@ pub(crate) fn enumerate_compositions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::AssessmentEngine;
     use wfms_statechart::paper_section52_registry;
+
+    fn engine(
+        reg: &ServerTypeRegistry,
+        load: &SystemLoad,
+        goals: &Goals,
+        opts: SearchOptions,
+    ) -> AssessmentEngine {
+        AssessmentEngine::new(reg, load, goals, opts).unwrap()
+    }
 
     fn load_at(rho_single: f64, reg: &ServerTypeRegistry) -> SystemLoad {
         let rates: Vec<f64> = reg
@@ -625,7 +502,9 @@ mod tests {
         let reg = paper_section52_registry();
         let goals = Goals::availability_only(0.999_999).unwrap();
         let load = load_at(0.1, &reg);
-        let result = greedy_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+        let result = engine(&reg, &load, &goals, SearchOptions::default())
+            .greedy()
+            .unwrap();
         assert!(result.assessment.meets_goals());
         let y = result.replicas();
         assert!(
@@ -642,7 +521,9 @@ mod tests {
         let reg = paper_section52_registry();
         let goals = Goals::new(0.01, 0.9999).unwrap();
         let load = load_at(0.8, &reg);
-        let result = greedy_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+        let result = engine(&reg, &load, &goals, SearchOptions::default())
+            .greedy()
+            .unwrap();
         for pair in result.trace.windows(2) {
             assert_eq!(
                 pair[1].cost,
@@ -662,9 +543,12 @@ mod tests {
             Goals::new(0.005, 0.999).unwrap(),
             Goals::waiting_time_only(0.002).unwrap(),
         ] {
-            let greedy = greedy_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
-            let optimal =
-                exhaustive_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+            let greedy = engine(&reg, &load, &goals, SearchOptions::default())
+                .greedy()
+                .unwrap();
+            let optimal = engine(&reg, &load, &goals, SearchOptions::default())
+                .exhaustive()
+                .unwrap();
             assert!(
                 greedy.cost() <= optimal.cost() + 1,
                 "greedy {} vs optimal {} for {goals:?}",
@@ -683,7 +567,9 @@ mod tests {
         let reg = paper_section52_registry();
         let load = load_at(0.3, &reg);
         let goals = Goals::availability_only(0.999).unwrap();
-        let result = exhaustive_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+        let result = engine(&reg, &load, &goals, SearchOptions::default())
+            .exhaustive()
+            .unwrap();
         // Every cheaper or equal-cost earlier candidate in the trace fails.
         for a in &result.trace {
             if a.cost < result.cost() {
@@ -706,11 +592,11 @@ mod tests {
             ..SearchOptions::default()
         };
         assert!(matches!(
-            greedy_search(&reg, &load, &goals, &opts),
+            engine(&reg, &load, &goals, opts).greedy(),
             Err(ConfigError::GoalsUnreachable { budget: 4, .. })
         ));
         assert!(matches!(
-            exhaustive_search(&reg, &load, &goals, &opts),
+            engine(&reg, &load, &goals, opts).exhaustive(),
             Err(ConfigError::GoalsUnreachable { .. })
         ));
     }
@@ -723,7 +609,7 @@ mod tests {
         let goals = Goals::waiting_time_only(1.0).unwrap();
         let opts = SearchOptions::builder().max_total_servers(12).build();
         assert!(matches!(
-            greedy_search(&reg, &load, &goals, &opts),
+            engine(&reg, &load, &goals, opts).greedy(),
             Err(ConfigError::LoadUnsustainable { .. })
         ));
     }
@@ -740,10 +626,12 @@ mod tests {
     fn heavier_load_needs_costlier_configuration() {
         let reg = paper_section52_registry();
         let goals = Goals::waiting_time_only(0.001).unwrap();
-        let light = greedy_search(&reg, &load_at(0.5, &reg), &goals, &SearchOptions::default())
+        let light = engine(&reg, &load_at(0.5, &reg), &goals, SearchOptions::default())
+            .greedy()
             .unwrap()
             .cost();
-        let heavy = greedy_search(&reg, &load_at(2.5, &reg), &goals, &SearchOptions::default())
+        let heavy = engine(&reg, &load_at(2.5, &reg), &goals, SearchOptions::default())
+            .greedy()
             .unwrap()
             .cost();
         assert!(heavy > light, "heavy {heavy} !> light {light}");
@@ -758,10 +646,12 @@ mod tests {
             Goals::new(0.01, 0.999_999).unwrap(),
             Goals::waiting_time_only(0.002).unwrap(),
         ] {
-            let exhaustive =
-                exhaustive_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
-            let bnb =
-                branch_and_bound_search(&reg, &load, &goals, &SearchOptions::default()).unwrap();
+            let exhaustive = engine(&reg, &load, &goals, SearchOptions::default())
+                .exhaustive()
+                .unwrap();
+            let bnb = engine(&reg, &load, &goals, SearchOptions::default())
+                .branch_and_bound()
+                .unwrap();
             assert_eq!(bnb.cost(), exhaustive.cost(), "optimality for {goals:?}");
             assert!(
                 bnb.evaluations <= exhaustive.evaluations,
@@ -795,12 +685,13 @@ mod tests {
         let load = load_at(100.0, &reg);
         let goals = Goals::waiting_time_only(1.0).unwrap();
         assert!(matches!(
-            branch_and_bound_search(
+            engine(
                 &reg,
                 &load,
                 &goals,
-                &SearchOptions::builder().max_total_servers(12).build()
-            ),
+                SearchOptions::builder().max_total_servers(12).build()
+            )
+            .branch_and_bound(),
             Err(ConfigError::GoalsUnreachable { .. })
         ));
     }

@@ -1,18 +1,16 @@
-//! Integration tests for the incremental-assessment tentpole: the
-//! delta entry point must be field-for-field identical to a
-//! from-scratch assessment (including under backend overrides and
-//! fault injection), the adaptive-ε screen must never change what a
-//! search returns, and the LRU caches must keep answering after the
-//! fill-until-full capacity is exceeded.
+//! Integration tests for incremental assessment: a warm engine's
+//! assessment of a one-replica neighbour must be field-for-field
+//! identical to a from-scratch assessment, and the adaptive-ε screen
+//! must never change what a search returns.
 //!
-//! The observability recorder and the fault registry are
-//! process-global, so every test that touches them serializes on one
-//! lock and restores the disabled state before returning.
+//! The observability recorder is process-global, so every test that
+//! touches it serializes on one lock and restores the disabled state
+//! before returning.
 
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use wfms_config::{assess, AssessmentEngine, AvailBackend, Goals, SearchOptions, SearchResult};
+use wfms_config::{AssessmentEngine, Goals, SearchOptions, SearchResult};
 use wfms_perf::SystemLoad;
 use wfms_statechart::{paper_section52_registry, Configuration, ServerTypeId, ServerTypeRegistry};
 
@@ -79,14 +77,12 @@ fn frontier_screen_is_bitwise_invisible_in_the_result() {
     let base_opts = SearchOptions::builder()
         .jobs(2)
         .max_total_servers(12)
-        .avail_backend(AvailBackend::Product)
         .build();
     let baseline = engine(base_opts).exhaustive().unwrap();
 
     let screened_opts = SearchOptions::builder()
         .jobs(2)
         .max_total_servers(12)
-        .avail_backend(AvailBackend::Product)
         .screen_epsilon(1e-2)
         .build();
     wfms_obs::global().take();
@@ -114,18 +110,9 @@ fn frontier_screen_is_bitwise_invisible_in_the_result() {
 #[test]
 fn greedy_screen_preserves_the_winner_assessment() {
     let _guard = lock();
-    let baseline = skewed_engine(
-        SearchOptions::builder()
-            .avail_backend(AvailBackend::Product)
-            .build(),
-    )
-    .greedy()
-    .unwrap();
+    let baseline = skewed_engine(SearchOptions::default()).greedy().unwrap();
 
-    let screened_opts = SearchOptions::builder()
-        .avail_backend(AvailBackend::Product)
-        .screen_epsilon(1e-2)
-        .build();
+    let screened_opts = SearchOptions::builder().screen_epsilon(1e-2).build();
     wfms_obs::global().take();
     wfms_obs::enable();
     let screened = skewed_engine(screened_opts).greedy().unwrap();
@@ -157,111 +144,34 @@ fn greedy_screen_preserves_the_winner_assessment() {
     assert!(screened.evaluations < baseline.evaluations);
 }
 
-/// Regression for the fill-until-full caches: at capacity the old code
-/// silently stopped inserting, so a hot candidate assessed *after* the
-/// cache filled missed forever. Under LRU it is resident (most
-/// recently used) and a re-assessment is answered entirely from cache.
-#[test]
-fn lru_keeps_recent_solutions_resident_beyond_capacity() {
-    let reg = paper_section52_registry();
-    let opts = SearchOptions::builder().solution_cache_capacity(2).build();
-    let load = load_at(1.5, &reg);
-    let goals = Goals::new(0.01, 0.9999).unwrap();
-    let engine = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
-
-    for y in [vec![1, 1, 1], vec![2, 2, 2], vec![3, 3, 3]] {
-        let config = Configuration::new(&reg, y).unwrap();
-        engine.assess(&config).unwrap();
-    }
-    let filled = engine.cache_stats();
-    assert!(filled.solution_entries <= 2, "capacity bound violated");
-
-    // Third candidate exceeded the capacity of 2 — under LRU it is the
-    // most recent entry and re-assessing it computes nothing new.
-    let hot = Configuration::new(&reg, vec![3, 3, 3]).unwrap();
-    engine.assess(&hot).unwrap();
-    let warm = engine.cache_stats();
-    assert_eq!(
-        warm.misses, filled.misses,
-        "re-assessing the most recent candidate recomputed something"
-    );
-    assert!(
-        warm.hits > filled.hits,
-        "warm pass answered nothing from cache"
-    );
-}
-
-/// Fault injection must not open a gap between the delta and scratch
-/// paths: with every cache-fill site firing deterministically, both
-/// engines degrade the same states the same way.
-#[test]
-fn delta_equals_scratch_under_fault_injection() {
-    let _guard = lock();
-    wfms_fault::clear();
-    wfms_fault::configure("engine.state-cache-fill", wfms_fault::FaultMode::Error, 1.0);
-    wfms_fault::enable();
-
-    let reg = paper_section52_registry();
-    let incumbent = Configuration::new(&reg, vec![2, 2, 2]).unwrap();
-    let grown = incumbent.with_added_replica(ServerTypeId(0)).unwrap();
-
-    let opts = SearchOptions::builder()
-        .avail_backend(AvailBackend::Product)
-        .build();
-    let warm = engine(opts);
-    warm.assess(&incumbent).unwrap();
-    let delta = warm.assess_delta(&incumbent, ServerTypeId(0)).unwrap();
-    let scratch = engine(opts).assess(&grown).unwrap();
-
-    wfms_fault::clear();
-
-    assert_eq!(delta, scratch);
-    assert!(
-        delta.degradation.is_some(),
-        "error injection at rate 1.0 must degrade the assessment"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole contract: `assess_delta` of a one-replica move is
-    /// field-for-field identical to a from-scratch assessment of the
-    /// grown configuration — on the product backend (where the marginal
-    /// patch actually fires) and on the explicit backends (where the
-    /// delta entry point falls through to the ordinary path).
+    /// Incremental assessment through the caches: once the incumbent is
+    /// assessed, its one-replica neighbour reuses `k − 1` birth–death
+    /// blocks and every shared state evaluation, and the result is
+    /// field-for-field identical to a from-scratch assessment.
     #[test]
-    fn assess_delta_equals_from_scratch(
+    fn warm_neighbour_equals_from_scratch(
         rho in 0.05f64..2.5,
         y in proptest::collection::vec(1usize..4, 3),
         moved in 0usize..3,
-        backend in 0usize..3,
+        truncated in 0usize..2,
     ) {
-        let backend = [AvailBackend::Product, AvailBackend::Dense, AvailBackend::Sparse][backend];
+        let epsilon = [0.0, 1e-6][truncated];
         let reg = paper_section52_registry();
         let load = load_at(rho, &reg);
         let goals = Goals::new(0.01, 0.9999).unwrap();
         let incumbent = Configuration::new(&reg, y).unwrap();
         let grown = incumbent.with_added_replica(ServerTypeId(moved)).unwrap();
-        let opts = SearchOptions::builder().avail_backend(backend).build();
+        let opts = SearchOptions::builder().epsilon(epsilon).build();
 
-        // Warm engine: the incumbent is assessed first, so the delta
-        // path has cached marginals and state evaluations to reuse.
         let warm = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
         warm.assess(&incumbent).unwrap();
-        let delta = warm.assess_delta(&incumbent, ServerTypeId(moved)).unwrap();
+        let neighbour = warm.assess(&grown).unwrap();
 
-        // Cold engine: the same grown candidate from scratch.
         let cold = AssessmentEngine::new(&reg, &load, &goals, opts).unwrap();
         let scratch = cold.assess(&grown).unwrap();
-        prop_assert_eq!(&delta, &scratch);
-
-        // And against the engineless free-function assessment, which is
-        // the original bit-for-bit reference (dense path only — the
-        // free function has no backend selector).
-        if backend == AvailBackend::Dense {
-            let direct = assess(&reg, &grown, &load, &goals).unwrap();
-            prop_assert_eq!(&delta, &direct);
-        }
+        prop_assert_eq!(&neighbour, &scratch);
     }
 }

@@ -57,7 +57,6 @@ pub use wfms_sim as sim;
 pub use wfms_statechart as statechart;
 pub use wfms_workloads as workloads;
 
-pub use wfms_avail::AvailBackend;
 pub use wfms_config::{
     Assessment, AssessmentEngine, CacheStats, ConfigError, DegradationReport, DegradedStateRecord,
     GoalCheck, Goals, QuarantinedCandidate, SearchOptions, SearchOptionsBuilder, SearchResult,

@@ -12,13 +12,12 @@
 //! * **recommendation** — greedy (or exhaustive) minimum-cost search for
 //!   a configuration meeting the administrator's goals.
 
-use wfms_avail::{closed_form_unavailability, AvailabilityModel, MINUTES_PER_YEAR};
+use wfms_avail::{ProductFormModel, MINUTES_PER_YEAR};
 use wfms_config::{
     apply_to_spec, calibrate_from_traces, sensitivity, ApplyOptions, ApplyReport, Assessment,
     AssessmentEngine, ConfigError, Goals, SearchOptions, SearchResult, SensitivityEntry,
     SensitivityOptions, WorkflowTrace,
 };
-use wfms_markov::ctmc::SteadyStateMethod;
 use wfms_perf::{
     aggregate_load, analyze_workflow, max_sustainable_throughput, AnalysisOptions, SystemLoad,
     ThroughputReport, WorkflowAnalysis, WorkloadItem,
@@ -140,32 +139,17 @@ impl ConfigurationTool {
         Ok(aggregate_load(&items, &self.registry)?)
     }
 
-    /// Availability of a configuration (Sec. 5), via the CTMC model.
+    /// Availability of a configuration (Sec. 5): the product of the
+    /// per-type birth–death marginals, exact under independent repair
+    /// and the same figure [`AssessmentEngine::assess`] reports.
     ///
     /// # Errors
-    /// Model failures as [`ConfigError`].
+    /// [`ConfigError::Avail`] on a registry/configuration mismatch.
     pub fn availability(&self, config: &Configuration) -> Result<AvailabilityFigures, ConfigError> {
-        let model = AvailabilityModel::new(&self.registry, config)?;
-        let pi = model.steady_state(SteadyStateMethod::Lu)?;
-        let availability = model.availability(&pi)?;
+        let availability = ProductFormModel::new(&self.registry, config)?.availability();
         Ok(AvailabilityFigures {
             availability,
             downtime_minutes_per_year: (1.0 - availability) * MINUTES_PER_YEAR,
-        })
-    }
-
-    /// Fast closed-form availability (exact under independent repair).
-    ///
-    /// # Errors
-    /// [`ConfigError::Avail`] on a registry mismatch.
-    pub fn availability_closed_form(
-        &self,
-        config: &Configuration,
-    ) -> Result<AvailabilityFigures, ConfigError> {
-        let u = closed_form_unavailability(&self.registry, config)?;
-        Ok(AvailabilityFigures {
-            availability: 1.0 - u,
-            downtime_minutes_per_year: u * MINUTES_PER_YEAR,
         })
     }
 
@@ -201,8 +185,8 @@ impl ConfigurationTool {
 
     /// An [`AssessmentEngine`] over this tool's registry and the
     /// aggregate load of the registered workloads. The engine memoizes
-    /// degraded-state evaluations, birth–death blocks, and availability
-    /// solves across every assessment and search run through it —
+    /// degraded-state evaluations and birth–death blocks across every
+    /// assessment and search run through it —
     /// prefer one engine over repeated [`ConfigurationTool::assess`] /
     /// [`ConfigurationTool::recommend`] calls when probing many
     /// candidates or search strategies against the same goals.
@@ -230,34 +214,6 @@ impl ConfigurationTool {
         opts: &SearchOptions,
     ) -> Result<SearchResult, ConfigError> {
         self.engine(goals, *opts)?.greedy()
-    }
-
-    /// Exhaustive (provably minimum-cost) recommendation; exponential in
-    /// the number of server types.
-    ///
-    /// # Errors
-    /// As [`ConfigurationTool::recommend`].
-    pub fn recommend_optimal(
-        &self,
-        goals: &Goals,
-        opts: &SearchOptions,
-    ) -> Result<SearchResult, ConfigError> {
-        self.engine(goals, *opts)?.exhaustive()
-    }
-
-    /// Branch-and-bound recommendation: provably minimum-cost like
-    /// [`ConfigurationTool::recommend_optimal`], but pruned with the
-    /// per-type goal lower bounds (usually orders of magnitude fewer
-    /// evaluations).
-    ///
-    /// # Errors
-    /// As [`ConfigurationTool::recommend`].
-    pub fn recommend_branch_and_bound(
-        &self,
-        goals: &Goals,
-        opts: &SearchOptions,
-    ) -> Result<SearchResult, ConfigError> {
-        self.engine(goals, *opts)?.branch_and_bound()
     }
 
     /// Parameter-sensitivity elasticities of the goal metrics at `config`
@@ -347,13 +303,17 @@ mod tests {
     }
 
     #[test]
-    fn availability_via_ctmc_matches_closed_form() {
+    fn availability_matches_the_flat_chain_oracle() {
         let t = tool();
         let config = Configuration::new(t.registry(), vec![2, 2, 3]).unwrap();
-        let ctmc = t.availability(&config).unwrap();
-        let closed = t.availability_closed_form(&config).unwrap();
-        assert!((ctmc.availability - closed.availability).abs() < 1e-10);
-        assert!(ctmc.downtime_minutes_per_year < 1.0);
+        let figures = t.availability(&config).unwrap();
+        let oracle = wfms_avail::AvailabilityModel::new(t.registry(), &config).unwrap();
+        let pi = oracle
+            .steady_state(wfms_markov::ctmc::SteadyStateMethod::Lu)
+            .unwrap();
+        let flat = oracle.availability(&pi).unwrap();
+        assert!((figures.availability - flat).abs() < 1e-10);
+        assert!(figures.downtime_minutes_per_year < 1.0);
     }
 
     #[test]
@@ -362,14 +322,11 @@ mod tests {
         let goals = Goals::new(0.05, 0.9999).unwrap();
         let rec = t.recommend(&goals, &SearchOptions::default()).unwrap();
         assert!(rec.assessment.meets_goals());
-        let optimal = t
-            .recommend_optimal(&goals, &SearchOptions::default())
-            .unwrap();
+        let engine = t.engine(&goals, SearchOptions::default()).unwrap();
+        let optimal = engine.exhaustive().unwrap();
         assert!(rec.cost() >= optimal.cost());
         assert!(rec.cost() <= optimal.cost() + 1);
-        let bnb = t
-            .recommend_branch_and_bound(&goals, &SearchOptions::default())
-            .unwrap();
+        let bnb = engine.branch_and_bound().unwrap();
         assert_eq!(bnb.cost(), optimal.cost());
         assert!(bnb.evaluations <= optimal.evaluations);
     }

@@ -369,12 +369,18 @@ macro_rules! point {
 mod tests {
     use super::*;
 
-    // The registry is process-global, so tests that configure sites must
-    // not assume exclusive ownership; each uses its own site names and
-    // restores the disabled state where it matters.
+    // The registry is process-global and several tests `clear()` it, so
+    // every test that touches it holds `GLOBAL_REGISTRY` for its whole
+    // body: a sibling's `clear()` can then never land mid-test.
+    static GLOBAL_REGISTRY: Mutex<()> = Mutex::new(());
+
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL_REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn disabled_registry_injects_nothing() {
+        let _registry = exclusive();
         clear();
         assert_eq!(check("test.disabled-site"), None);
         assert!(!is_enabled());
@@ -382,6 +388,7 @@ mod tests {
 
     #[test]
     fn unconfigured_site_is_transparent_even_when_enabled() {
+        let _registry = exclusive();
         configure("test.some-other-site", FaultMode::Error, 1.0);
         assert_eq!(check("test.never-configured"), None);
         clear();
@@ -389,6 +396,7 @@ mod tests {
 
     #[test]
     fn full_rate_error_fires_every_call() {
+        let _registry = exclusive();
         configure("test.full-error", FaultMode::Error, 1.0);
         for _ in 0..10 {
             assert_eq!(check("test.full-error"), Some(Injection::Error));
@@ -400,6 +408,7 @@ mod tests {
 
     #[test]
     fn nan_mode_reports_nan_injection() {
+        let _registry = exclusive();
         configure("test.nan-site", FaultMode::Nan, 1.0);
         assert_eq!(check("test.nan-site"), Some(Injection::Nan));
         clear();
@@ -407,6 +416,7 @@ mod tests {
 
     #[test]
     fn zero_rate_never_fires_but_counts_calls() {
+        let _registry = exclusive();
         configure("test.zero-rate", FaultMode::Error, 0.0);
         for _ in 0..20 {
             assert_eq!(check("test.zero-rate"), None);
@@ -434,6 +444,7 @@ mod tests {
 
     #[test]
     fn delay_mode_sleeps_then_passes_through() {
+        let _registry = exclusive();
         configure(
             "test.delay",
             FaultMode::Delay(Duration::from_millis(5)),
@@ -448,6 +459,7 @@ mod tests {
 
     #[test]
     fn reset_counts_keeps_configuration() {
+        let _registry = exclusive();
         configure("test.reset", FaultMode::Error, 1.0);
         let _ = check("test.reset");
         reset_counts();
@@ -458,6 +470,7 @@ mod tests {
 
     #[test]
     fn snapshot_lists_sites_sorted() {
+        let _registry = exclusive();
         configure("test.snap-b", FaultMode::Error, 1.0);
         configure("test.snap-a", FaultMode::Nan, 0.5);
         let snap = snapshot();
@@ -517,6 +530,7 @@ mod tests {
 
     #[test]
     fn point_macro_expands_to_check() {
+        let _registry = exclusive();
         configure("test.macro", FaultMode::Error, 1.0);
         assert_eq!(point!("test.macro"), Some(Injection::Error));
         clear();

@@ -53,11 +53,10 @@
 //! | `mg1-waiting` | `wfms-perf` | `types`, `evaluations` |
 //! | `performability` | `wfms-performability` | `states`, `degraded`, `serving`, `pruned` (ε-truncated fold only) |
 //! | `assess` | `wfms-config` | `candidate`, `w_max`, `availability` |
-//! | `delta-assess` | `wfms-config` | `candidate`, `moved-type` (one span per availability solve answered by patching a cached neighbour's marginals) |
 //! | `search-candidate` | `wfms-config` | `candidate`, `accepted` |
 //! | `greedy-search` / `exhaustive-search` / `bnb-search` / `annealing-search` | `wfms-config` | `evaluations`, `cost` |
 //! | `simulate` | `wfms-sim` | `events`, `warmup_minutes`, `measured_minutes` |
-//! | `solver-fallback` | `wfms-markov` / `wfms-config` | `from` (one span per fallback-ladder escalation) |
+//! | `solver-fallback` | `wfms-markov` | `from` (one span per fallback-ladder escalation) |
 //!
 //! Counters and histograms are dotted lowercase
 //! (`<crate>.<subject>.<aspect>`). The pipeline metrics:
@@ -80,15 +79,14 @@
 //! | `config.annealing.rejected` | counter | `wfms-config` | rejected Metropolis moves per annealing run |
 //! | `sim.events` | counter | `wfms-sim` | discrete events processed per simulation run |
 //!
-//! The assessment engine of `wfms-config` adds five stable metric
+//! The assessment engine of `wfms-config` adds four stable metric
 //! names of its own:
 //!
 //! | metric | kind | emitted by | meaning |
 //! |---|---|---|---|
-//! | `engine.cache-hit` | counter | `wfms-config` | lookups answered from the engine's degraded-state, birth–death-block, or availability-solution caches |
-//! | `engine.cache-miss` | counter | `wfms-config` | lookups that had to compute (one per first evaluation of a state, block, or candidate) |
+//! | `engine.cache-hit` | counter | `wfms-config` | lookups answered from the engine's degraded-state or birth–death-block caches |
+//! | `engine.cache-miss` | counter | `wfms-config` | lookups that had to compute (one per first evaluation of a state or block) |
 //! | `engine.parallel-candidates` | gauge | `wfms-config` | size of the last candidate batch dispatched to the worker pool |
-//! | `engine.delta-assess` | counter | `wfms-config` | product-form availability solves answered by patching one marginal of a cached neighbour (each paired with a `delta-assess` span) |
 //! | `engine.screen-reject` | counter | `wfms-config` | candidates the adaptive-ε screen proved infeasible without an exact assessment |
 //!
 //! The graceful-degradation layer (DESIGN.md §10) adds four more; the
@@ -97,7 +95,7 @@
 //!
 //! | metric | kind | emitted by | meaning |
 //! |---|---|---|---|
-//! | `solver.fallback` | counter | `wfms-markov` / `wfms-config` | solves that escalated down a fallback ladder (e.g. sparse Gauss–Seidel → dense LU), each paired with a `solver-fallback` span |
+//! | `solver.fallback` | counter | `wfms-markov` | resilient solves that escalated down the Gauss–Seidel → SOR → dense LU ladder, each paired with a `solver-fallback` span |
 //! | `config.quarantined` | counter | `wfms-config` | candidates whose assessment failed irrecoverably and were skipped by a search |
 //! | `config.degraded-assessments` | counter | `wfms-config` | assessments that carried a `DegradationReport` |
 //! | `solver.budget-exhausted` | counter | `wfms-markov` | resilient-solve stages that ran out of iterations before converging |

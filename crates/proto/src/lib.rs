@@ -251,11 +251,14 @@ pub struct AssessParams {
     pub min_availability: Option<f64>,
     /// `--epsilon` (mass-truncation tolerance).
     pub epsilon: Option<f64>,
-    /// `--avail-backend` (`auto|dense|sparse|product`).
+    /// Retired (the availability backend switch): must be absent or
+    /// `null`; any value is rejected as `invalid-params`.
     pub avail_backend: Option<String>,
-    /// `--solver-tol`.
+    /// Retired (the iterative-solver tolerance): must be absent or
+    /// `null`; any value is rejected as `invalid-params`.
     pub solver_tol: Option<f64>,
-    /// `--solver-max-iter`.
+    /// Retired (the iterative-solver sweep cap): must be absent or
+    /// `null`; any value is rejected as `invalid-params`.
     pub solver_max_iter: Option<u64>,
     /// `--strict` fail-fast mode (absent = graceful degradation).
     pub strict: Option<bool>,
@@ -290,11 +293,14 @@ pub struct RecommendParams {
     pub seed: Option<u64>,
     /// `--epsilon` (mass-truncation tolerance).
     pub epsilon: Option<f64>,
-    /// `--avail-backend` (`auto|dense|sparse|product`).
+    /// Retired (the availability backend switch): must be absent or
+    /// `null`; any value is rejected as `invalid-params`.
     pub avail_backend: Option<String>,
-    /// `--solver-tol`.
+    /// Retired (the iterative-solver tolerance): must be absent or
+    /// `null`; any value is rejected as `invalid-params`.
     pub solver_tol: Option<f64>,
-    /// `--solver-max-iter`.
+    /// Retired (the iterative-solver sweep cap): must be absent or
+    /// `null`; any value is rejected as `invalid-params`.
     pub solver_max_iter: Option<u64>,
     /// `--strict` fail-fast mode.
     pub strict: Option<bool>,
@@ -303,8 +309,8 @@ pub struct RecommendParams {
     pub screen_epsilon: Option<f64>,
     /// `--rank-moves` (sensitivity-ranked growth moves).
     pub rank_moves: Option<bool>,
-    /// Inverse of `--no-incremental` (absent = incremental delta
-    /// assessment on, matching the CLI default).
+    /// Retired (the incremental delta-assessment switch): must be
+    /// absent or `null`; any value is rejected as `invalid-params`.
     pub incremental: Option<bool>,
     /// Per-server-type waiting-time goals (`--max-wait-type`),
     /// refining — and overriding, for the named types — the global
@@ -413,8 +419,6 @@ pub struct TenantGauges {
     pub tenant: String,
     /// Entries in the degraded-state cache.
     pub state_entries: u64,
-    /// Entries in the availability-solution cache.
-    pub solution_entries: u64,
     /// Entries in the birth–death block cache.
     pub block_entries: u64,
     /// Lifetime engine cache hits.

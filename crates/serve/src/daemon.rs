@@ -317,8 +317,8 @@ pub fn serve(opts: &ServeOptions, out: &mut impl Write) -> Result<(), ServeError
                 continue;
             }
         };
-        match tx.try_send(stream) {
-            Ok(()) => shared.handler.queue().enqueued(),
+        match shared.handler.queue().admit(|| tx.try_send(stream)) {
+            Ok(()) => {}
             Err(TrySendError::Full(stream)) => {
                 shared.handler.queue().shed();
                 if shed_tx.try_send(stream).is_err() {

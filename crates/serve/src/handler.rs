@@ -14,7 +14,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use wfms_core::avail::AvailBackend;
 use wfms_core::config::{AnnealingOptions, Goals, SearchOptions, SearchResult};
 use wfms_core::{Configuration, ConfigurationTool, ServerTypeRegistry, WorkflowSpec};
 use wfms_proto::{
@@ -86,9 +85,17 @@ impl QueueTelemetry {
         self.workers.store(workers, Ordering::Relaxed);
     }
 
-    /// A connection was admitted to the queue.
-    pub fn enqueued(&self) {
+    /// Admits one connection through `send` (the accept loop's
+    /// `try_send`), counting it *before* the hand-off: the worker that
+    /// receives it may call [`dequeued`](Self::dequeued) before `send`
+    /// even returns, and counting afterwards would let the depth gauge
+    /// dip below zero and wrap. A failed `send` rolls the count back.
+    ///
+    /// # Errors
+    /// Whatever `send` returns; the connection was then not admitted.
+    pub fn admit<E>(&self, send: impl FnOnce() -> Result<(), E>) -> Result<(), E> {
         self.depth.fetch_add(1, Ordering::Relaxed);
+        send().inspect_err(|_| self.dequeued())
     }
 
     /// A worker picked an admitted connection up.
@@ -299,16 +306,18 @@ impl Handler {
         let per_type =
             resolve_per_type_goals(&params.registry, params.per_type_max_wait.as_deref())?;
         let goals = build_goals(params.max_wait, params.min_availability, per_type)?;
+        reject_retired(&[
+            ("avail_backend", params.avail_backend.is_some()),
+            ("solver_tol", params.solver_tol.is_some()),
+            ("solver_max_iter", params.solver_max_iter.is_some()),
+        ])?;
         let opts = build_search_options(
-            params.avail_backend.as_deref(),
             params.strict.unwrap_or(false),
             SearchKnobs {
                 epsilon: params.epsilon,
-                solver_tol: params.solver_tol,
-                solver_max_iter: params.solver_max_iter,
                 ..SearchKnobs::default()
             },
-        )?;
+        );
         let state = self.tenant_state(
             tenant_key(request),
             &params.registry,
@@ -354,6 +363,12 @@ impl Handler {
         let budget = params.budget.unwrap_or(64) as usize;
         let jobs = params.jobs.unwrap_or(1) as usize;
         let search = params.search.as_deref().unwrap_or("greedy");
+        reject_retired(&[
+            ("avail_backend", params.avail_backend.is_some()),
+            ("solver_tol", params.solver_tol.is_some()),
+            ("solver_max_iter", params.solver_max_iter.is_some()),
+            ("incremental", params.incremental.is_some()),
+        ])?;
         // The annealing engine is deliberately built with only the
         // budget (matching the historical CLI behaviour exactly, so
         // one-shot results stay bit-identical); the other strategies
@@ -365,17 +380,13 @@ impl Handler {
                 max_total_servers: budget,
                 jobs,
                 ..build_search_options(
-                    params.avail_backend.as_deref(),
                     params.strict.unwrap_or(false),
                     SearchKnobs {
                         epsilon: params.epsilon,
-                        solver_tol: params.solver_tol,
-                        solver_max_iter: params.solver_max_iter,
                         screen_epsilon: params.screen_epsilon,
                         rank_moves: params.rank_moves,
-                        incremental: params.incremental,
                     },
-                )?
+                )
             }
         };
         let state = self.tenant_state(
@@ -458,7 +469,6 @@ impl Handler {
                 TenantGauges {
                     tenant: tenant.clone(),
                     state_entries: stats.state_entries as u64,
-                    solution_entries: stats.solution_entries as u64,
                     block_entries: stats.block_entries as u64,
                     cache_hits: stats.hits,
                     cache_misses: stats.misses,
@@ -655,49 +665,22 @@ fn resolve_per_type_goals(
 #[derive(Debug, Default)]
 struct SearchKnobs {
     epsilon: Option<f64>,
-    solver_tol: Option<f64>,
-    solver_max_iter: Option<u64>,
     screen_epsilon: Option<f64>,
     rank_moves: Option<bool>,
-    incremental: Option<bool>,
 }
 
-/// Mirrors the CLI's `parse_search_options` exactly: backend + strict
-/// always, the optional knobs only when supplied (so defaults stay
-/// identical to the one-shot path).
-fn build_search_options(
-    avail_backend: Option<&str>,
-    strict: bool,
-    knobs: SearchKnobs,
-) -> Result<SearchOptions, Failure> {
+/// Mirrors the CLI's `parse_search_options` exactly: strict always, the
+/// optional knobs only when supplied (so defaults stay identical to the
+/// one-shot path).
+fn build_search_options(strict: bool, knobs: SearchKnobs) -> SearchOptions {
     let SearchKnobs {
         epsilon,
-        solver_tol,
-        solver_max_iter,
         screen_epsilon,
         rank_moves,
-        incremental,
     } = knobs;
-    let backend = match avail_backend {
-        None => AvailBackend::default(),
-        Some(raw) => raw.parse().map_err(|reason| {
-            Failure::new(
-                ERR_INVALID_PARAMS,
-                format!("invalid avail_backend {raw:?}: {reason}"),
-            )
-        })?,
-    };
-    let mut builder = SearchOptions::builder()
-        .avail_backend(backend)
-        .strict(strict);
+    let mut builder = SearchOptions::builder().strict(strict);
     if let Some(epsilon) = epsilon {
         builder = builder.epsilon(epsilon);
-    }
-    if let Some(tolerance) = solver_tol {
-        builder = builder.solver_tolerance(tolerance);
-    }
-    if let Some(max_iter) = solver_max_iter {
-        builder = builder.solver_max_iterations(max_iter as usize);
     }
     if let Some(screen) = screen_epsilon {
         builder = builder.screen_epsilon(screen);
@@ -705,10 +688,22 @@ fn build_search_options(
     if let Some(rank) = rank_moves {
         builder = builder.rank_moves(rank);
     }
-    if let Some(incremental) = incremental {
-        builder = builder.incremental(incremental);
+    builder.build()
+}
+
+/// Rejects a payload that sets a retired engine knob. The fields stay
+/// in the wire structs so old clients still decode, but the knobs they
+/// named (availability backend, iterative-solver budget, the
+/// incremental switch) no longer exist: availability is always solved
+/// in closed product form.
+fn reject_retired(fields: &[(&str, bool)]) -> Result<(), Failure> {
+    match fields.iter().find(|(_, set)| *set) {
+        Some((name, _)) => Err(Failure::new(
+            ERR_INVALID_PARAMS,
+            format!("{name} is retired: availability is always solved in product form"),
+        )),
+        None => Ok(()),
     }
-    Ok(builder.build())
 }
 
 fn decode_params<T: for<'de> Deserialize<'de>>(params: &Value) -> Result<T, Failure> {

@@ -456,10 +456,8 @@ fn health_reports_serving_state_without_touching_engines() {
 }
 
 #[test]
-fn recommend_incremental_and_screened_match_the_baseline_winner() {
-    // Satellite contract: the incremental delta-assessment path must be
-    // byte-identical to the from-scratch path on the wire, and the
-    // adaptive-e screen may change how much work the search pays but
+fn recommend_screened_matches_the_baseline_winner() {
+    // The adaptive-e screen may change how much work the search pays but
     // never which winner it returns. The CLI inherits this for free —
     // `wfms recommend` dispatches through this same shared handler.
     let handler = Handler::new(4);
@@ -469,31 +467,14 @@ fn recommend_incremental_and_screened_match_the_baseline_winner() {
             ("workload", spec("ep", "workload.json")),
             ("max_wait", json(0.05)),
             ("min_availability", json(0.9999)),
-            ("avail_backend", Value::String("product".to_string())),
             ("epsilon", json(1e-9)),
         ];
         pairs.extend(extra);
         handler.handle(&request(METHOD_RECOMMEND, tenant, obj(pairs)))
     };
 
-    let baseline = recommend("t-baseline", vec![("incremental", json(false))]);
+    let baseline = recommend("t-baseline", vec![]);
     assert!(baseline.ok, "baseline recommend: {:?}", baseline.error);
-    let incremental = recommend("t-incremental", vec![("incremental", json(true))]);
-    assert!(
-        incremental.ok,
-        "incremental recommend: {:?}",
-        incremental.error
-    );
-
-    // The no-screen incremental leg is bit-identical end to end.
-    let baseline_bytes =
-        serde_json::to_string(&baseline.result).expect("serialize baseline result");
-    let incremental_bytes =
-        serde_json::to_string(&incremental.result).expect("serialize incremental result");
-    assert_eq!(baseline_bytes, incremental_bytes);
-
-    // The screened leg may skip exact assessments but must land on the
-    // same winner with a bitwise-equal winning assessment.
     let screened = recommend(
         "t-screened",
         vec![("screen_epsilon", json(1e-2)), ("rank_moves", json(false))],
@@ -508,4 +489,84 @@ fn recommend_incremental_and_screened_match_the_baseline_winner() {
         serde_json::to_string(&base.assessment).expect("baseline assessment"),
         serde_json::to_string(&scr.assessment).expect("screened assessment"),
     );
+}
+
+#[test]
+fn retired_engine_knobs_are_typed_invalid_params() {
+    // The wire structs keep the retired fields so old payloads decode;
+    // `null` behaves as absent, any value is named in the rejection.
+    let handler = Handler::new(1);
+    let mut with_nulls = assess_params("ep", &[2, 2, 2]);
+    if let Value::Object(map) = &mut with_nulls {
+        for field in ["avail_backend", "solver_tol", "solver_max_iter"] {
+            map.insert(field.to_string(), Value::Null);
+        }
+    }
+    let ok = handler.handle(&request(METHOD_ASSESS, "acme", with_nulls));
+    assert!(ok.ok, "null retired fields are absent: {:?}", ok.error);
+
+    let cases = [
+        (
+            METHOD_ASSESS,
+            "avail_backend",
+            Value::String("dense".to_string()),
+        ),
+        (METHOD_ASSESS, "solver_tol", json(1e-12)),
+        (METHOD_ASSESS, "solver_max_iter", json(100)),
+        (
+            METHOD_RECOMMEND,
+            "avail_backend",
+            Value::String("product".to_string()),
+        ),
+        (METHOD_RECOMMEND, "solver_tol", json(1e-12)),
+        (METHOD_RECOMMEND, "solver_max_iter", json(100)),
+        (METHOD_RECOMMEND, "incremental", json(true)),
+    ];
+    for (method, field, value) in cases {
+        let mut params = if method == METHOD_ASSESS {
+            assess_params("ep", &[2, 2, 2])
+        } else {
+            obj(vec![
+                ("registry", spec("ep", "registry.json")),
+                ("workload", spec("ep", "workload.json")),
+                ("max_wait", json(0.05)),
+            ])
+        };
+        if let Value::Object(map) = &mut params {
+            map.insert(field.to_string(), value);
+        }
+        let resp = handler.handle(&request(method, "retired", params));
+        assert!(!resp.ok, "{method} with {field} must be rejected");
+        assert_eq!(error_kind(&resp), ERR_INVALID_PARAMS, "{method} {field}");
+        assert!(
+            error_message_of(&resp).contains(field),
+            "{method}: the rejection names {field}: {}",
+            error_message_of(&resp)
+        );
+    }
+}
+
+#[test]
+fn queue_depth_gauge_never_wraps_when_the_worker_dequeues_first() {
+    let handler = Handler::new(1);
+    let queue = handler.queue();
+    queue.configure(1, 1);
+    // The worst interleaving of the accept loop: the worker receives the
+    // connection and calls `dequeued()` before the hand-off returns.
+    let admitted = queue.admit(|| {
+        queue.dequeued();
+        let depth = queue.gauges().depth;
+        assert!(depth <= 1, "depth gauge wrapped to {depth} mid hand-off");
+        Ok::<(), ()>(())
+    });
+    assert!(admitted.is_ok());
+    assert_eq!(queue.gauges().depth, 0);
+    // A refused hand-off (full or disconnected queue) is rolled back.
+    let refused = queue.admit(|| Err::<(), &str>("full"));
+    assert_eq!(refused, Err("full"));
+    assert_eq!(queue.gauges().depth, 0);
+    // An admitted connection waiting for a worker is counted.
+    queue.admit(|| Ok::<(), ()>(())).expect("admitted");
+    assert_eq!(queue.gauges().depth, 1);
+    assert!(queue.gauges().depth <= queue.gauges().capacity);
 }

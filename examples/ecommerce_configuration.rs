@@ -82,7 +82,8 @@ fn main() {
         greedy.evaluations
     );
     let optimal = tool
-        .recommend_optimal(&goals, &SearchOptions::default())
+        .engine(&goals, SearchOptions::default())
+        .and_then(|engine| engine.exhaustive())
         .expect("reachable");
     println!(
         "  exhaustive optimum       : {:?} ({} servers, {} evaluations)",

@@ -43,7 +43,8 @@ fn main() {
         .with_type_waiting(1, 0.01) // engine: 0.6 s
         .expect("valid");
     let rec = tool
-        .recommend_branch_and_bound(&goals, &SearchOptions::default())
+        .engine(&goals, SearchOptions::default())
+        .and_then(|engine| engine.branch_and_bound())
         .expect("reachable");
     println!(
         "\nBranch-and-bound optimum for (global 3 s, engine 0.6 s, 99.99 %): {:?} ({} servers, {} evaluations)",

@@ -24,7 +24,8 @@ fn ep_pipeline_from_spec_to_recommendation() {
     let rec = tool.recommend(&goals, &SearchOptions::default()).unwrap();
     assert!(rec.assessment.meets_goals());
     let optimal = tool
-        .recommend_optimal(&goals, &SearchOptions::default())
+        .engine(&goals, SearchOptions::default())
+        .and_then(|engine| engine.exhaustive())
         .unwrap();
     assert_eq!(
         rec.cost(),

@@ -1,8 +1,8 @@
 //! Integration tests for the assessment engine's determinism contract:
-//! every search result must be bit-identical to the serial free-function
-//! path for any `jobs` value, on both example workloads.
+//! every search result must be bit-identical to the serial path for any
+//! `jobs` value, and to a cold engine's when replayed warm, on both
+//! example workloads.
 
-use wfms::config::{branch_and_bound_search, exhaustive_search, greedy_search};
 use wfms::statechart::paper_section52_registry;
 use wfms::workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
 use wfms::{ConfigurationTool, Goals, SearchOptions};
@@ -62,36 +62,6 @@ fn parallel_searches_are_bit_identical_to_serial() {
             assert_eq!(
                 a.evaluations, b.evaluations,
                 "{name}/{method}: evaluation count diverges"
-            );
-        }
-    }
-}
-
-#[test]
-fn engine_searches_match_deprecated_free_functions() {
-    for (name, tool, goals) in scenarios() {
-        let registry = tool.registry().clone();
-        let load = tool.system_load().unwrap();
-        let opts = options(1);
-        let engine = tool.engine(&goals, opts).unwrap();
-        let free_greedy = greedy_search(&registry, &load, &goals, &opts).unwrap();
-        assert_eq!(
-            engine.greedy().unwrap().assessment,
-            free_greedy.assessment,
-            "{name}: engine greedy diverges from free function"
-        );
-        let free_bnb = branch_and_bound_search(&registry, &load, &goals, &opts).unwrap();
-        assert_eq!(
-            engine.branch_and_bound().unwrap().assessment,
-            free_bnb.assessment,
-            "{name}: engine B&B diverges from free function"
-        );
-        if name == "ep" {
-            let free_opt = exhaustive_search(&registry, &load, &goals, &opts).unwrap();
-            assert_eq!(
-                engine.exhaustive().unwrap().assessment,
-                free_opt.assessment,
-                "{name}: engine exhaustive diverges from free function"
             );
         }
     }

@@ -1,8 +1,9 @@
 //! Fault-injection acceptance tests for the graceful-degradation layer:
-//! forced solver failures must escalate down the fallback ladder, failed
-//! state evaluations must be charged pessimistically, irrecoverable
-//! candidates must be quarantined rather than aborting a search, and a
-//! disabled registry must leave every result bit-identical.
+//! failed state evaluations must be charged pessimistically (and still
+//! recommend the clean winner), irrecoverable candidates must be
+//! quarantined rather than aborting a search, poisoned availability must
+//! be caught at every ε, and a disabled registry must leave every result
+//! bit-identical.
 //!
 //! The failpoint registry is process-global, so every test serializes on
 //! [`FAULTS`] and clears the registry on entry and exit.
@@ -13,7 +14,7 @@ use std::time::Duration;
 use wfms::fault;
 use wfms::statechart::paper_section52_registry;
 use wfms::workloads::{enterprise_mix, enterprise_registry, ep_workflow, EP_DEFAULT_ARRIVAL_RATE};
-use wfms::{AvailBackend, ConfigError, Configuration, ConfigurationTool, Goals, SearchOptions};
+use wfms::{ConfigError, Configuration, ConfigurationTool, Goals, SearchOptions};
 
 static FAULTS: Mutex<()> = Mutex::new(());
 
@@ -51,41 +52,39 @@ fn enterprise_tool() -> ConfigurationTool {
     tool
 }
 
-/// The headline acceptance criterion: with the sparse Gauss–Seidel site
+/// The headline acceptance criterion: with the engine's state-cache fill
 /// failing at a 100 % rate, a greedy search over the enterprise workload
-/// still completes — every solve escalates to dense LU — and returns the
-/// same winner as the clean sparse run, with the degradation reported.
+/// still completes — every state is charged at its sound pessimistic
+/// cap — and returns the same winner as the clean run, with the
+/// degradation reported.
 #[test]
-fn forced_gs_failure_still_recommends_the_same_enterprise_winner() {
+fn forced_state_fill_failure_still_recommends_the_same_enterprise_winner() {
     let _g = faults();
     let tool = enterprise_tool();
-    let goals = Goals::new(0.01, 0.9999).unwrap();
-    let opts = SearchOptions::builder()
-        .avail_backend(AvailBackend::Sparse)
-        .max_total_servers(64)
-        .build();
+    let goals = Goals::new(0.05, 0.9999).unwrap();
+    let opts = SearchOptions::builder().max_total_servers(64).build();
 
     let clean = tool.engine(&goals, opts).unwrap().greedy().unwrap();
     assert!(clean.assessment.degradation.is_none(), "clean run degraded");
 
-    fault::configure("linalg.sparse-gs", fault::FaultMode::Error, 1.0);
+    fault::configure("engine.state-cache-fill", fault::FaultMode::Error, 1.0);
     let degraded = tool.engine(&goals, opts).unwrap().greedy().unwrap();
 
     assert!(
-        fault::fired("linalg.sparse-gs") > 0,
+        fault::fired("engine.state-cache-fill") > 0,
         "failpoint never fired"
     );
     assert_eq!(
         degraded.assessment.replicas, clean.assessment.replicas,
-        "dense fallback must find the same winner"
+        "pessimistic charging must find the same winner"
     );
     assert!(degraded.quarantined.is_empty());
     let report = degraded
         .assessment
         .degradation
-        .expect("solver fallback must be reported");
-    assert!(report.solver_fallbacks >= 1);
-    assert_eq!(report.failed_states, 0);
+        .expect("failed fills must be reported");
+    assert!(report.failed_states >= 1);
+    assert!((report.charged_mass - 1.0).abs() < 1e-9);
 }
 
 /// Per-state kernel failures are charged at their pessimistic caps: the
@@ -121,7 +120,6 @@ fn failed_state_evaluations_are_charged_with_pessimistic_caps() {
         .expect("failed states must be reported");
     assert_eq!(report.failed_states, 27, "every state of [2,2,2] fails");
     assert!((report.charged_mass - 1.0).abs() < 1e-9);
-    assert_eq!(report.solver_fallbacks, 0);
     assert!(!report.details.is_empty());
     assert!(report.details.iter().all(|r| !r.error.is_empty()));
     // Availability comes from the (unaffected) chain solve.
@@ -137,9 +135,10 @@ fn failed_state_evaluations_are_charged_with_pessimistic_caps() {
 }
 
 /// Candidates whose assessment fails irrecoverably are quarantined and the
-/// search keeps going: with the solution-cache fill failing at 100 %, only
-/// the pre-warmed winner survives — every earlier candidate lands in the
-/// quarantine list instead of aborting the exhaustive search.
+/// search keeps going: with every availability solve that must fill the
+/// block cache failing at 100 %, only the pre-warmed winner survives —
+/// every earlier candidate needs some uncached `(type, Y_x)` block and
+/// lands in the quarantine list instead of aborting the exhaustive search.
 #[test]
 fn irrecoverable_candidates_are_quarantined_not_fatal() {
     let _g = faults();
@@ -152,8 +151,8 @@ fn irrecoverable_candidates_are_quarantined_not_fatal() {
         .exhaustive()
         .unwrap();
 
-    // Pre-warm one engine with the winner, then poison every further
-    // solution-cache fill: the winner replays from the cache, everything
+    // Pre-warm one engine with the winner, then fail every further
+    // block-cache fill: the winner replays from the cache, everything
     // else is quarantined.
     let engine = tool.engine(&goals, SearchOptions::default()).unwrap();
     let winner = Configuration::new(tool.registry(), clean.assessment.replicas.clone()).unwrap();
@@ -199,7 +198,7 @@ fn nan_injection_is_caught_by_the_non_finite_guard() {
     let tool = ep_tool();
     let goals = Goals::new(0.05, 0.9999).unwrap();
     let config = Configuration::new(tool.registry(), vec![2, 2, 2]).unwrap();
-    fault::configure("avail.steady-state", fault::FaultMode::Nan, 1.0);
+    fault::configure("engine.solution-cache-fill", fault::FaultMode::Nan, 1.0);
     let err = tool
         .engine(&goals, SearchOptions::default())
         .unwrap()
@@ -211,6 +210,34 @@ fn nan_injection_is_caught_by_the_non_finite_guard() {
         }
         other => panic!("expected NonFiniteAssessment, got {other:?}"),
     }
+    assert!(err.is_candidate_local());
+}
+
+/// The ε-truncated path shares the availability solve: NaN injection
+/// there must trip the same guard instead of slipping through.
+#[test]
+fn nan_injection_is_caught_under_truncation_too() {
+    let _g = faults();
+    let tool = ep_tool();
+    let goals = Goals::new(0.05, 0.9999).unwrap();
+    let config = Configuration::new(tool.registry(), vec![2, 2, 2]).unwrap();
+    fault::configure("engine.solution-cache-fill", fault::FaultMode::Nan, 1.0);
+    let opts = SearchOptions::builder().epsilon(1e-6).build();
+    let err = tool
+        .engine(&goals, opts)
+        .unwrap()
+        .assess(&config)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ConfigError::NonFiniteAssessment {
+                what: "availability",
+                ..
+            }
+        ),
+        "expected a non-finite availability, got {err:?}"
+    );
     assert!(err.is_candidate_local());
 }
 
@@ -230,7 +257,7 @@ fn delay_and_disabled_faults_leave_results_bit_identical() {
         .unwrap();
 
     fault::configure(
-        "avail.steady-state",
+        "engine.solution-cache-fill",
         fault::FaultMode::Delay(Duration::from_millis(1)),
         1.0,
     );
@@ -239,7 +266,7 @@ fn delay_and_disabled_faults_leave_results_bit_identical() {
         .unwrap()
         .assess(&config)
         .unwrap();
-    assert!(fault::fired("avail.steady-state") > 0);
+    assert!(fault::fired("engine.solution-cache-fill") > 0);
     assert_eq!(delayed, baseline);
 
     // Error faults everywhere, but the registry is disabled: nothing may

@@ -7,7 +7,7 @@ use wfms::avail::closed_form_unavailability;
 use wfms::sim::{run, SimOptions};
 use wfms::statechart::paper_section52_registry;
 use wfms::workloads::ep_workflow;
-use wfms::{AvailBackend, Configuration, ConfigurationTool, Goals, SearchOptions};
+use wfms::{Configuration, ConfigurationTool, Goals, SearchOptions};
 
 #[test]
 fn simulated_unavailability_matches_product_form_prediction() {
@@ -44,15 +44,12 @@ fn simulated_unavailability_matches_product_form_prediction() {
     );
 
     // The same prediction through the assessment stack's product-form
-    // backend: exact agreement with the closed form ties the simulator,
-    // the backend, and the formula together.
+    // solve: exact agreement with the closed form ties the simulator,
+    // the engine, and the formula together.
     let mut tool = ConfigurationTool::new(reg);
     tool.add_workflow(ep_workflow(), 0.001).unwrap();
     let goals = Goals::availability_only(0.5).unwrap();
-    let product_opts = SearchOptions::builder()
-        .avail_backend(AvailBackend::Product)
-        .epsilon(1e-9)
-        .build();
+    let product_opts = SearchOptions::builder().epsilon(1e-9).build();
     let assessed = tool
         .engine(&goals, product_opts)
         .unwrap()
